@@ -44,6 +44,7 @@ from .direct_eval import (
 from .errors import (
     BesselSumError,
     ConfigError,
+    ConvergenceError,
     DomainError,
     ParseError,
     PoleError,
@@ -68,6 +69,7 @@ __all__ = [
     "CircleModel",
     "ConfigError",
     "ContourConfig",
+    "ConvergenceError",
     "DEFAULT_TOL",
     "DomainError",
     "EvalResult",

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
+import numpy as np
+
 from . import specfun as sf
 from .asymptotics import (
     Expansion,
@@ -518,17 +520,20 @@ def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalRes
     small = 0
     term = 0.0
     n = 0
-    while n < 10_000_000:
-        n += 1
-        term = (m / (n * L)) ** nu * sf.bessel_k(nu, n * x)
-        pieces.append(term)
-        running += term
-        if abs(term) < tol * max(1.0, abs(running)):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
+    block = 64
+    while small < 3 and n < 10_000_000:
+        ns = np.arange(n + 1, n + block + 1, dtype=float)
+        for term in ((m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)).tolist():
+            n += 1
+            pieces.append(term)
+            running += term
+            if abs(term) < tol * max(1.0, abs(running)):
+                small += 1
+                if small >= 3:
+                    break
+            else:
+                small = 0
+        block = min(2 * block, 4096)
     err = 2.0 * abs(term) * rho / (1.0 - rho) if rho < 1.0 else abs(term)
     return EvalResult(math.fsum(pieces), err, n, "mass_sum")
 

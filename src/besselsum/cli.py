@@ -321,12 +321,14 @@ def _ratio_test(fam, s, B, d, model, tol, ex, beta):
     rp = ex.remainder_power
     if rp is None or not math.isfinite(rp):
         return None, None, "skip"
-    direct1 = _direct_value(fam, s, beta, B, d, model, tol).value
-    direct2 = _direct_value(fam, s, 2.0 * beta, B, d, model, tol).value
-    err1 = abs(ex.evaluate(beta) - direct1)
-    err2 = abs(ex.evaluate(2.0 * beta) - direct2)
-    floor1 = 1e3 * sys.float_info.epsilon * max(1.0, abs(direct1))
-    floor2 = 1e3 * sys.float_info.epsilon * max(1.0, abs(direct2))
+    direct1 = _direct_value(fam, s, beta, B, d, model, tol)
+    direct2 = _direct_value(fam, s, 2.0 * beta, B, d, model, tol)
+    err1 = abs(ex.evaluate(beta) - direct1.value)
+    err2 = abs(ex.evaluate(2.0 * beta) - direct2.value)
+    # Below its own error bound a direct sum cannot measure the remainder.
+    eps = 1e3 * sys.float_info.epsilon
+    floor1 = max(eps * max(1.0, abs(direct1.value)), direct1.error_estimate)
+    floor2 = max(eps * max(1.0, abs(direct2.value)), direct2.error_estimate)
     if err1 < floor1 or err2 < floor2:
         return None, 2.0 ** (-rp), "skip"
     ratio = err1 / err2

@@ -2,37 +2,49 @@
 
 Every series here converges for all real order parameters thanks to the
 exponential decay of K_nu at large argument; these routines sum the terms
-outright with a conservative stopping rule and report a tail estimate. They
-are the oracles against which the small-argument expansions are tested, and
-they deliberately do nothing clever: no acceleration, no resummation.
+outright and report a tail bound. They are the oracles against which the
+small-argument expansions are tested, and they deliberately do nothing
+clever: no acceleration, no resummation.
 
-Families (B is the phase in cos(2*pi*m*B)):
+Each family is one weighted-kernel sum  sum_j w_j E(x_j),  with
+E(x) = (x beta)^s K_s(2 x beta), over a stream of increasing nodes x_j,
+evaluated in numpy blocks of at most 2^16 elements (B is the phase):
 
-* h(s, beta, B)  = sum_{m>=1} cos(2 pi m B) (m beta)^s K_s(2 m beta)
-* h0(s, beta)    = h(s, beta, 0)
-* g(d, s, beta)  = sum over the punctured Z^d lattice of
-                   (beta/|n|)^s K_s(2 |n| beta), grouped into shells |n|^2 = k
-* f(model, s, beta, B) = sum_n mult_n sum_m (m beta/alpha_n)^s cos(2 pi m B)
-                   K_s(2 alpha_n m beta)
+* h(s, beta, B): x = m >= 1, w = cos(2 pi m B); h0(s, beta) = h(s, beta, 0)
+* g(d, s, beta) over the punctured Z^d lattice: x = sqrt(k), w = r_d(k) k^{-s},
+  one element per shell |n|^2 = k
+* f(model, s, beta, B): x = alpha_n m, w = mult_n alpha_n^{-2s} cos(2 pi m B),
+  as 2-D (eigenvalue x m) blocks of at most 1024 rows whose rows, the inner
+  m-sums, are the elements of an outer stream with node alpha_n
 
-Stopping rule (uniform across families): terminate once three consecutive
-term envelopes fall below tol * max(1, |partial|) * (1 - e^{-2 beta}); the
-geometric factor converts a term bound into a tail bound via the e^{-2 beta m}
-decay envelope. Past the envelope's turnover the term magnitudes must decrease
-monotonically; a violation raises ArithmeticError since it signals a numerical
-problem rather than a slowly converging sum.
+Stopping rule, the same along every stream and row: element j is small when
+its envelope |w_j| E(x_j) (|cos| counted as 1) is below
+tol * max(1, |S_j|) * (1 - e^{-2 beta (x_j - x_{j-1})}), S_j the partial sum;
+the factor turns a term into the tail of an e^{-2 x beta} decay. The sum
+stops at the third small element in a row past x* = (|s| + 2)/(2 beta),
+beyond which every kernel decays. A non-finite term, or a kernel growing past
+x*, met before the stop raises ConvergenceError: it signals a numerical
+problem, not a slowly converging sum. So does a sum predicted to need more
+than 10^7 terms: h and g before they start, f before each block of rows,
+from the terms already used plus (|s| + 2 + ln(1/tol))/(2 beta alpha_n) + 2
+for each new row.
+
+Tail bound (error_estimate): a geometric series fitted to the last 33
+elements (see _tail), which measures how fast the weights accumulate as well
+as the decay, since on a lattice shells crowd and their counts grow. For f
+the inner rows' bounds are added.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import specfun as sf
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .manifolds import ManifoldModel, TableModel
 
 __all__ = [
@@ -48,6 +60,9 @@ __all__ = [
 DEFAULT_TOL = 1e-12
 
 _MAX_TERMS = 10_000_000
+_BLOCK = 1 << 16  # elements evaluated at once, over all rows of a block
+_ROWS = 1 << 10  # eigenvalues (rows of f) summed in one block
+_WINDOW = 32  # trailing elements over which the tail bound measures decay
 
 
 @dataclass(frozen=True)
@@ -100,128 +115,183 @@ def _check_tol(tol: Optional[float]) -> float:
     return tol
 
 
-def _h_core(s: float, beta: float, B: float, tol: float):
-    """Raw sum over m of cos(2 pi m B) (m beta)^s K_s(2 m beta).
+def _reach(s: float, beta: float, tol: float) -> float:
+    """Node x by which the kernel has decayed by about tol from its turnover."""
+    return (abs(s) + 2.0 + math.log(1.0 / tol)) / (2.0 * beta)
 
-    Returns (value, error_estimate, terms_used). The envelope
-    (m beta)^s K_s(2 m beta) peaks near m ~ s/(2 beta) for s > 0 and decays
-    like e^{-2 beta m} afterwards.
+
+def _over_budget(terms: float, s: float, beta: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"direct sum needs about {terms:.3g} terms at s={s}, beta={beta}, over the "
+        f"budget of {_MAX_TERMS}; use the small-beta expansion (besselsum expand)"
+    )
+
+
+def _envelope(s: float, beta: float, x: np.ndarray) -> np.ndarray:
+    """The kernel E(x) = (x beta)^s K_s(2 x beta), elementwise."""
+    return (x * beta) ** s * sf.bessel_k_many(s, 2.0 * beta * x)
+
+
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Index of the first True along the last axis; the axis length if none."""
+    return np.where(mask.any(axis=-1), mask.argmax(axis=-1), mask.shape[-1])
+
+
+def _tail(x, kern, cum, j, beta: float) -> np.ndarray:
+    """Bound on the sum of each row's stream past element j.
+
+    Over the window [j - 32, j]: rho is the kernel's decay per element, and
+    the cumulative weight bound N(x) ~ x^p gives p N/x, the weight per unit x.
+    The tail is 2 (p N_j/x_j) dx kern_j rho/(1 - rho), dx the mean spacing;
+    rho is at least e^{-2 beta dx}, since far out every kernel falls like
+    e^{-2 x beta} and nearer in its decay only slows down as x grows.
     """
-    damp = -math.expm1(-2.0 * beta)
-    m_star = 1 if s <= 0.0 else int(s / (2.0 * beta)) + 2
-    use_cos = B != 0.0
-    total = 0.0
-    small = 0
-    prev_env = math.inf
-    terms = 0
-    m0 = 1
-    block = 64
-    while m0 <= _MAX_TERMS:
-        ms = np.arange(m0, m0 + block, dtype=float)
-        env = (ms * beta) ** s * sf.bessel_k_many(s, 2.0 * beta * ms)
-        vals = env * np.cos((2.0 * math.pi * B) * ms) if use_cos else env
-        for i in range(block):
-            m = m0 + i
-            e = float(env[i])
-            if not math.isfinite(e):
-                raise ArithmeticError(f"non-finite term at m={m} (s={s}, beta={beta})")
-            total += float(vals[i])
-            terms += 1
-            if m > m_star and e > prev_env * (1.0 + 1e-9) and e > 1e-305:
-                raise ArithmeticError(
-                    f"term envelope failed to decay at m={m} (s={s}, beta={beta})"
-                )
-            if e < tol * max(1.0, abs(total)) * damp:
-                small += 1
-                if small >= 3 and m >= m_star:
-                    if prev_env > 0.0 and e > 0.0:
-                        rho = min(0.999, e / prev_env)
-                    else:
-                        rho = math.exp(-2.0 * beta)
-                    err = 2.0 * e * rho / (1.0 - rho)
-                    return total, err, terms
-            else:
-                small = 0
-            prev_env = e
-        m0 += block
-        block = min(2 * block, 4096)
-    raise ArithmeticError(f"series did not converge within {_MAX_TERMS} terms")
+    r = np.arange(j.size)
+    lo = np.maximum(j - _WINDOW, 0)
+    steps = np.maximum(j - lo, 1)
+    xj = x[r, j]
+    xlo = x[r, lo]
+    nj = cum[r, j]
+    kj = kern[r, j]
+    dx = np.where(j > lo, (xj - xlo) / steps, xj)
+    p = np.where(j > lo, np.log(nj / cum[r, lo]) / np.log(xj / xlo), 1.0)
+    rho = (kj / kern[r, lo]) ** (1.0 / steps)
+    floor = np.exp(-2.0 * beta * dx)
+    rho = np.where(rho < 1.0, np.fmax(rho, floor), floor)
+    return 2.0 * p * nj / xj * dx * kj * rho / (1.0 - rho)
+
+
+def _sweep(s: float, beta: float, tol: float, source, rows: int, first: int):
+    """Sum `rows` streams in lockstep under the stopping rule.
+
+    source(c0, c1, live) gives elements c0..c1-1 of the streams `live` (row
+    indices) as arrays (x, kern, wmax, term) of shape (len(live), n), where
+    wmax * kern >= |term|, or None once the streams end. Blocks start at
+    `first` elements a row and double, at most _BLOCK over all live rows
+    (callers keep rows <= _BLOCK).
+
+    Returns per-row arrays value, tail bound, terms used, stopped, failed;
+    raises ConvergenceError when `first` or a row's terms pass _MAX_TERMS.
+    """
+    if first > _MAX_TERMS:
+        raise _over_budget(first, s, beta)
+    x_star = (abs(s) + 2.0) / (2.0 * beta)
+    value = np.zeros(rows)
+    tail = np.zeros(rows)
+    x_prev = np.zeros(rows)
+    weight = np.zeros(rows)
+    k_prev = np.full(rows, math.inf)
+    count = np.zeros(rows, dtype=np.int64)
+    run = np.zeros(rows, dtype=np.int64)  # small elements ending the last block
+    stopped = np.zeros(rows, dtype=bool)
+    failed = np.zeros(rows, dtype=bool)
+    window = (np.zeros((rows, 0)),) * 3  # trailing (x, kern, cum) for _tail
+    live = np.arange(rows)
+    c0 = 0
+    size = first
+    while live.size:
+        width = max(1, min(size, _BLOCK // live.size))
+        block = source(c0, c0 + width, live)
+        c0 += width
+        size *= 2
+        if block is None:
+            if window[0].shape[-1]:
+                tail[live] = _tail(*window, np.full(live.size, window[0].shape[-1] - 1), beta)
+            break
+        x, kern, wmax, term = block
+        n = x.shape[-1]
+        if n == 0:
+            continue
+        partial = value[live, None] + np.cumsum(term, axis=-1)
+        cum = weight[live, None] + np.cumsum(wmax, axis=-1)
+        env = wmax * kern
+        decay = -np.expm1(-2.0 * beta * np.diff(x, axis=-1, prepend=x_prev[live, None]))
+        small = env < tol * np.maximum(1.0, np.abs(partial)) * decay
+        small = np.concatenate([run[live, None] >= 2, run[live, None] >= 1, small], axis=-1)
+        stop = _first(small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (x >= x_star))
+        before = np.concatenate([k_prev[live, None], kern[:, :-1]], axis=-1)
+        grows = (x > x_star) & (kern > before * (1.0 + 1e-9)) & (kern > 1e-305)
+        bad = _first(~np.isfinite(env) | ~np.isfinite(partial) | grows)
+        fail = bad <= np.minimum(stop, n - 1)
+        stop_here = (stop < n) & ~fail
+        upto = np.where(stop_here, stop, n - 1)
+        value[live] += np.where(np.arange(n) <= upto[:, None], term, 0.0).sum(axis=-1)
+        count[live] += upto + 1
+        if np.any(count[live] >= _MAX_TERMS):
+            raise _over_budget(count.max(), s, beta)
+        window = tuple(np.concatenate(pair, axis=-1) for pair in zip(window, (x, kern, cum)))
+        if stop_here.any():
+            j = stop[stop_here] + window[0].shape[-1] - n
+            tail[live[stop_here]] = _tail(*(w[stop_here] for w in window), j, beta)
+        stopped[live] = stop_here
+        failed[live] = fail
+        x_prev[live] = x[:, -1]
+        k_prev[live] = kern[:, -1]
+        weight[live] = cum[:, -1]
+        run[live] = np.where(small[:, -1], np.where(small[:, -2], 2, 1), 0)
+        going = ~(stop_here | fail)
+        live = live[going]
+        window = tuple(w[going, -_WINDOW - 1:] for w in window)
+    return value, tail, count, stopped, failed
+
+
+def _single(s: float, beta: float, tol: float, source, first: int):
+    """One stream through _sweep: (value, tail bound, terms, stopped by the rule)."""
+    value, tail, count, stopped, failed = _sweep(s, beta, tol, source, 1, first)
+    if failed[0]:
+        raise ConvergenceError(f"a term is non-finite or fails to decay (s={s}, beta={beta})")
+    return float(value[0]), float(tail[0]), int(count[0]), bool(stopped[0])
+
+
+def _row_source(s: float, beta: float, alphas: np.ndarray, B: float):
+    """Rows x = alpha_n * m, m = 1, 2, ..., with weights cos(2 pi m B)."""
+
+    def source(c0, c1, live):
+        m = np.arange(c0 + 1, c1 + 1, dtype=float)
+        x = alphas[live, None] * m
+        kern = _envelope(s, beta, x)
+        term = kern * np.cos((2.0 * math.pi * B) * m) if B != 0.0 else kern
+        return x, kern, np.ones_like(x), term
+
+    return source
 
 
 def sum_h(params: SeriesParams, tol: Optional[float] = None) -> EvalResult:
     """Phase-weighted Bessel series h(s, beta, B)."""
     tol = _check_tol(tol)
-    value, err, terms = _h_core(params.s, params.beta, params.B, tol)
+    s, beta = params.s, params.beta
+    reach = _reach(s, beta, tol)
+    with np.errstate(all="ignore"):
+        source = _row_source(s, beta, np.ones(1), params.B)
+        value, err, terms, _ = _single(s, beta, tol, source, math.ceil(reach) + 3)
     return EvalResult(value, err, terms, "direct_h")
 
 
 def sum_h0(s: float, beta: float, tol: Optional[float] = None) -> EvalResult:
     """Phase-free series h0(s, beta) = h(s, beta, 0)."""
-    params = SeriesParams(s=s, beta=beta)
-    tol = _check_tol(tol)
-    value, err, terms = _h_core(params.s, params.beta, 0.0, tol)
-    return EvalResult(value, err, terms, "direct_h0")
+    return replace(sum_h(SeriesParams(s=s, beta=beta), tol), method="direct_h0")
 
 
 def sum_g(d: int, s: float, beta: float, tol: Optional[float] = None) -> EvalResult:
     """Punctured-lattice series g(d; s, beta), summed over shells |n|^2 = k."""
     params = SeriesParams(s=s, beta=beta, d=d)
     tol = _check_tol(tol)
-    d = int(d)
-    damp = -math.expm1(-2.0 * beta)
-    # Shell kernel (beta/sqrt(k))^s K_s(2 sqrt(k) beta) decays monotonically in
-    # k once sqrt(k) exceeds |s|/(2 beta); the representation counts r_d(k)
-    # fluctuate, so the monotone assertion applies to the kernel alone.
-    alpha_star = abs(s) / (2.0 * beta) + 1.0
-    total = 0.0
-    small = 0
-    prev_kernel = math.inf
-    terms = 0
-    k0 = 1
-    chunk = 512
-    kmax = 512
-    shells = sf.lattice_shell_counts(d, kmax)
-    while terms < _MAX_TERMS:
-        k1 = k0 + chunk
-        if k1 - 1 > kmax:
-            kmax = max(2 * kmax, k1 - 1)
-            shells = sf.lattice_shell_counts(d, kmax)
-        ks_all = np.arange(k0, k1)
-        rs_all = np.asarray(shells[k0:k1], dtype=float)
-        mask = rs_all > 0.0
-        ks = ks_all[mask].astype(float)
-        rs = rs_all[mask]
-        if ks.size:
-            alphas = np.sqrt(ks)
-            kernels = (beta / alphas) ** s * sf.bessel_k_many(s, 2.0 * beta * alphas)
-            for i in range(len(ks)):
-                kern = float(kernels[i])
-                if not math.isfinite(kern):
-                    raise ArithmeticError(
-                        f"non-finite shell term at k={int(ks[i])} (s={s}, beta={beta})"
-                    )
-                term = float(rs[i]) * kern
-                total += term
-                terms += 1
-                if alphas[i] > alpha_star and kern > prev_kernel * (1.0 + 1e-9) and kern > 1e-305:
-                    raise ArithmeticError(
-                        f"shell kernel failed to decay at k={int(ks[i])} (s={s}, beta={beta})"
-                    )
-                if term < tol * max(1.0, abs(total)) * damp:
-                    small += 1
-                    if small >= 3 and alphas[i] >= alpha_star:
-                        if prev_kernel > 0.0 and kern > 0.0:
-                            rho = min(0.999, kern / prev_kernel)
-                        else:
-                            rho = math.exp(-2.0 * beta)
-                        err = 4.0 * term * rho / (1.0 - rho)
-                        return EvalResult(total, err, terms, "direct_g")
-                else:
-                    small = 0
-                prev_kernel = kern
-        k0 = k1
-        chunk = min(2 * chunk, 32768)
-    raise ArithmeticError(f"series did not converge within {_MAX_TERMS} shells")
+    reach = _reach(s, beta, tol)
+    shells = np.zeros(0)
+
+    def source(c0, c1, live):
+        nonlocal shells
+        if c1 >= shells.size:
+            shells = sf.lattice_shell_counts(params.d, max(2 * shells.size, c1))
+        r = shells[c0 + 1:c1 + 1]
+        k = np.flatnonzero(r) + (c0 + 1.0)
+        w = r[r > 0.0]
+        kern = k ** -s * _envelope(s, beta, np.sqrt(k))
+        return np.sqrt(k)[None], kern[None], w[None], (w * kern)[None]
+
+    with np.errstate(all="ignore"):
+        value, err, terms, _ = _single(s, beta, tol, source, math.ceil(reach * reach) + 3)
+    return EvalResult(value, err, terms, "direct_g")
 
 
 def sum_f(
@@ -233,75 +303,50 @@ def sum_f(
 ) -> EvalResult:
     """Double series f over model eigenvalues alpha_n and integers m.
 
-    Written as sum_n mult_n alpha_n^{-2s} h(s, alpha_n beta, B): the inner
-    m-sum reuses the h machinery at scale alpha_n * beta. The outer loop stops
-    when the inner sums fall below the e^{-2 alpha_n beta} envelope; for a
-    TableModel that exhausts its finite list first, a geometric tail estimate
-    for the missing eigenvalues is added to the error.
+    The outer stream's kernel alpha_n^{-2s} E(alpha_n) / (1 - e^{-2 alpha_n beta})
+    bounds a row. A TableModel whose list runs out before the rule stops the
+    outer stream gets method "direct_f_truncated".
     """
     params = SeriesParams(s=s, beta=beta, B=B, model=model)
     tol = _check_tol(tol)
     if not isinstance(model, ManifoldModel):
         raise DomainError(f"model must be a ManifoldModel, got {type(model).__name__}")
-    damp = -math.expm1(-2.0 * beta)
-    alpha_star = (abs(s) + 2.0) / (2.0 * beta)
-    total = 0.0
-    err = 0.0
-    small = 0
-    terms = 0
-    prev_kernel = math.inf
-    prev_alpha = None
-    last_gap = None
-    last_env = 0.0
-    stopped = False
-    for alpha, mult in model.eigenvalues():
-        b = alpha * beta
-        inner_val, inner_err, inner_terms = _h_core(s, b, B, tol)
-        total += mult * alpha ** (-2.0 * s) * inner_val
-        err += mult * alpha ** (-2.0 * s) * inner_err
-        terms += inner_terms
-        # Multiplicity-free outer envelope: bounds |inner| by the first inner
-        # term over the geometric tail factor.
-        kernel = alpha ** (-2.0 * s) * float((b) ** s * sf.bessel_k(s, 2.0 * b)) / max(
-            -math.expm1(-2.0 * b), 1e-300
-        )
-        env = mult * kernel
-        if not math.isfinite(env):
-            raise ArithmeticError(f"non-finite outer term at alpha={alpha}")
-        if (
-            prev_alpha is not None
-            and alpha > alpha_star
-            and kernel > prev_kernel * (1.0 + 1e-9)
-            and kernel > 1e-305
-        ):
-            raise ArithmeticError(
-                f"outer envelope failed to decay at alpha={alpha} (s={s}, beta={beta})"
-            )
-        if env < tol * max(1.0, abs(total)) * damp:
-            small += 1
-            if small >= 3 and alpha >= alpha_star:
-                if prev_kernel > 0.0 and kernel > 0.0 and prev_alpha is not None:
-                    rho = min(0.999, kernel / prev_kernel)
-                else:
-                    rho = math.exp(-2.0 * beta)
-                err += 4.0 * env * rho / (1.0 - rho)
-                stopped = True
-                break
-        else:
-            small = 0
-        if prev_alpha is not None:
-            last_gap = alpha - prev_alpha
-        prev_kernel = kernel
-        prev_alpha = alpha
-        last_env = env
-        if terms >= _MAX_TERMS:
-            raise ArithmeticError(f"series did not converge within {_MAX_TERMS} terms")
-    if stopped:
-        return EvalResult(total, err, terms, "direct_f")
-    # Finite spectrum (TableModel) ran out before the stopping rule fired:
-    # estimate the tail from the last eigenvalue gap.
-    gap = last_gap if last_gap else (prev_alpha if prev_alpha else 1.0)
-    rho = min(math.exp(-2.0 * beta * max(gap, 1e-12)), 0.999)
-    err += 4.0 * last_env * rho / (1.0 - rho)
-    method = "direct_f_truncated" if isinstance(model, TableModel) else "direct_f"
-    return EvalResult(total, err, terms, method)
+    reach = _reach(s, beta, tol)
+    spectrum = model.eigenvalues()
+    # Next eigenvalue, and extent of the next draw: draws of reach/4 after
+    # the first keep what is drawn from the spectrum past the stop small.
+    pending = next(spectrum, None)
+    extent = reach
+    spent = 0  # inner terms used by the rows summed so far
+    rows = []  # per draw: (terms used, weighted tail bounds)
+
+    def source(c0, c1, live):
+        nonlocal pending, extent, spent
+        pairs = []
+        while pending is not None and len(pairs) < _ROWS and (not pairs or pending[0] <= extent):
+            pairs.append(pending)
+            pending = next(spectrum, None)
+        if len(pairs) < _ROWS:
+            extent += reach / 4.0
+        if not pairs:
+            return None
+        alphas, mults = np.array(pairs, dtype=float).T
+        # A row takes about reach/alpha terms, and never fewer than three.
+        need = spent + float(np.sum(np.ceil(reach / alphas) + 2.0))
+        if need > _MAX_TERMS:
+            raise _over_budget(need, s, beta)
+        vals, tails, counts, _, failed = _sweep(s, beta, tol, _row_source(
+            s, beta, alphas, params.B), alphas.size, math.ceil(reach / alphas[-1]) + 3)
+        spent += int(counts.sum())
+        weight = mults * alphas ** (-2.0 * s)
+        rows.append((counts, weight * tails))
+        kern = alphas ** (-2.0 * s) * _envelope(s, beta, alphas) / -np.expm1(-2.0 * beta * alphas)
+        term = np.where(failed, np.nan, weight * vals)
+        return alphas[None], kern[None], mults[None], term[None]
+
+    with np.errstate(all="ignore"):
+        value, err, used, stopped = _single(s, beta, tol, source, 1)
+    counts = np.concatenate([c for c, _ in rows])[:used]
+    tails = np.concatenate([b for _, b in rows])[:used]
+    method = "direct_f" if stopped or not isinstance(model, TableModel) else "direct_f_truncated"
+    return EvalResult(value, err + float(tails.sum()), int(counts.sum()), method)

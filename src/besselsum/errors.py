@@ -20,6 +20,10 @@ class PoleError(BesselSumError, ArithmeticError):
     """The requested value sits exactly on a pole of the function."""
 
 
+class ConvergenceError(BesselSumError, ArithmeticError):
+    """A direct sum is over its term budget, or a term is non-finite or grows."""
+
+
 class ParseError(BesselSumError, ValueError):
     """An input file or text payload could not be parsed."""
 

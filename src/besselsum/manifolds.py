@@ -174,17 +174,12 @@ class TorusModel(ManifoldModel):
         return sf.epstein_zeta_deriv(self.ctx, s)
 
     def eigenvalues(self) -> Iterator[tuple]:
-        kmax = 256
-        shells = sf.lattice_shell_counts(self.d, kmax)
-        k = 1
+        k0, kmax = 1, 256
         while True:
-            if k > kmax:
-                kmax *= 2
-                shells = sf.lattice_shell_counts(self.d, kmax)
-            r = shells[k]
-            if r > 0.0:
-                yield (math.sqrt(k), float(r))
-            k += 1
+            shells = sf.lattice_shell_counts(self.d, kmax)
+            for k in (shells[k0:].nonzero()[0] + k0).tolist():
+                yield (math.sqrt(k), float(shells[k]))
+            k0, kmax = kmax + 1, 2 * kmax
 
 
 class TableModel(ManifoldModel):

@@ -6,6 +6,7 @@ exit codes can be asserted without spawning an interpreter.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -127,6 +128,20 @@ class TestEval:
         assert code == 2
         assert err.startswith("besselsum: DomainError")
 
+    def test_nonfinite_terms_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, ["eval", "--series", "h0", "--s", "200",
+                                        "--beta", "0.01"])
+        assert code == 2
+        assert "ConvergenceError" in err
+
+    def test_over_budget_refused_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, ["eval", "--series", "h0", "--s", "0.5",
+                                        "--beta", "1e-9"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "ConvergenceError" in err and "expand" in err
+
     def test_bad_torus_spec(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -233,6 +248,18 @@ class TestCompare:
         assert res["ratio"] is None
         # Only direct-summation noise remains for a terminating expansion.
         assert res["abs_diff"] < 1e-10
+
+
+    def test_skip_when_remainder_below_direct_error(self, capsys):
+        # At order 6 the remainder at this beta is below the direct sum's own
+        # error bound, so the ratio cannot be measured and must not fail.
+        code, out, err = run_cli(
+            capsys,
+            ["compare", "--series", "h0", "--s", "0.9264914101293081",
+             "--beta", "0.0763730417301593", "--order", "6"],
+        )
+        assert code == 0, err
+        assert json.loads(out)["result"]["ratio_status"] == "skip"
 
 
 class TestOracle:

@@ -1,6 +1,7 @@
 """Direct Bessel-K summation against closed forms and brute-force oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.special as sps
 import besselsum.direct_eval as de
 import besselsum.manifolds as mf
 from besselsum.direct_eval import SeriesParams
-from besselsum.errors import DomainError
+from besselsum.asymptotics import expand_f0
+from besselsum.errors import ConvergenceError, DomainError
 
 CIRCLE = mf.circle_model()
 TORUS2 = mf.torus_model(2)
@@ -138,6 +140,93 @@ def test_f_table_model_truncation_flagged():
     assert _rel(res.value, want) < 1e-13
     assert res.method == "direct_f_truncated"
     assert res.error_estimate > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Error estimates bound the error, at large beta and on lattice spectra
+# ---------------------------------------------------------------------------
+
+def _within_estimate(res, terms):
+    """|value - ref| <= error_estimate + 1e-11 sum|terms|, ref a brute-force sum."""
+    terms = np.asarray(terms)
+    ref = math.fsum(terms)
+    assert abs(res.value - ref) <= res.error_estimate + 1e-11 * math.fsum(np.abs(terms))
+
+
+@pytest.mark.parametrize("beta", [15.0, 150.0, 300.0])
+def test_h0_half_closed_form_at_large_beta(beta):
+    want = (math.sqrt(math.pi) / 2.0) / math.expm1(2.0 * beta)
+    res = de.sum_h0(0.5, beta)
+    assert abs(res.value - want) <= res.error_estimate + 1e-13 * want
+
+
+def test_h0_large_beta_matches_mpmath():
+    import mpmath as mp
+    s, beta = 0.3, 15.0
+    with mp.workdps(40):
+        want = float(mp.fsum((m * beta) ** s * mp.besselk(s, 2 * m * beta) for m in range(1, 6)))
+    res = de.sum_h0(s, beta)
+    assert abs(res.value - want) <= res.error_estimate + 1e-13 * want
+
+
+def _shell_terms(d, s, beta, xmax):
+    import besselsum.specfun as sf
+    r = sf.lattice_shell_counts(d, int(xmax * xmax))
+    k = np.flatnonzero(r[1:]) + 1
+    al = np.sqrt(k)
+    return r[k] * (beta / al) ** s * sps.kv(abs(s), 2 * al * beta)
+
+
+@pytest.mark.parametrize("s,beta", [(-2.0, 0.06519), (-1.679, 2.932)])
+def test_g_d3_estimate_bounds_error(s, beta):
+    # Shells crowd together (sqrt(k+1) - sqrt(k) ~ 1/(2 sqrt k)) and their
+    # counts grow like sqrt(k), so the tail is far more than e^{-2 beta} decay
+    # of the last shell suggests.
+    xmax = (44 + 4 * abs(s)) / (2 * beta) + 3
+    _within_estimate(de.sum_g(3, s, beta), _shell_terms(3, s, beta, xmax))
+
+
+def test_f_torus2_estimate_bounds_error():
+    import besselsum.specfun as sf
+    s, beta = -2.0809, 0.23269
+    xmax = (44 + 4 * abs(s)) / (2 * beta) + 3
+    r = sf.lattice_shell_counts(2, int(xmax * xmax))
+    terms = []
+    for k in np.flatnonzero(r[1:]) + 1:
+        al = math.sqrt(k)
+        m = np.arange(1, int(xmax / al) + 2)
+        terms.append(r[k] * (m * beta / al) ** s * sps.kv(abs(s), 2 * al * m * beta))
+    _within_estimate(de.sum_f(TORUS2, s, beta, 0.0), np.concatenate(terms))
+
+
+# ---------------------------------------------------------------------------
+# Bounded work: the term budget and the block size
+# ---------------------------------------------------------------------------
+
+def test_f_over_budget_refused_at_once():
+    # A row alpha_n takes about reach/alpha_n terms, reach ~ 1.5e6 here: the
+    # first 1024 eigenvalues of the circle already need over 10^7 terms.
+    t0 = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="expand"):
+        de.sum_f(CIRCLE, 0.5, 1e-5, 0.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_f_many_rows_in_bounded_blocks(monkeypatch):
+    # Some 1.5e5 eigenvalues lie within reach: they are summed a block of
+    # rows at a time, never more than _BLOCK kernel values at once.
+    sizes = []
+    envelope = de._envelope
+
+    def spy(s, beta, x):
+        sizes.append(np.size(x))
+        return envelope(s, beta, x)
+
+    monkeypatch.setattr(de, "_envelope", spy)
+    res = de.sum_f(CIRCLE, 0.5, 1e-4, 0.0)
+    assert max(sizes) <= de._BLOCK
+    want = expand_f0(CIRCLE, 0.5, 4).evaluate(1e-4)
+    assert abs(res.value - want) < 1e-10 * want
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,16 @@ def test_bessel_k_matches_mpmath(nu):
         assert _rel(sf.bessel_k(nu, x), mp.besselk(abs(nu), x)) < 2e-13
 
 
+@pytest.mark.parametrize("nu", [0.3, 2.5, 7.5])
+def test_bessel_k_mixed_batch_matches_mpmath(nu):
+    # Small and large arguments in one call: each value is accurate relative
+    # to itself, whatever else is in the batch.
+    xs = [1e-3, 30.0, 600.0]
+    for got, x in zip(sf.bessel_k_many(nu, xs), xs):
+        want = mp.besselk(nu, x)
+        assert abs(got - float(want)) <= 2e-13 * abs(float(want))
+
+
 def test_bessel_k_even_in_order():
     assert sf.bessel_k(2.5, 1.3) == sf.bessel_k(-2.5, 1.3)
 

@@ -118,13 +118,10 @@ class PistonConfig:
     ``geometry`` describes one chamber: geometry.beta is the length of the
     first chamber, geometry.d = D - 1 its transverse Euclidean directions and
     geometry.B must be 1/2 (antiperiodic reduction of the Dirichlet interval).
-    ``epsilon`` is the formal zeta regulator; it is carried for bookkeeping
-    only since casimir_energy returns the 1/epsilon split explicitly.
     """
 
     geometry: ProductGeometry
     L: float
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if not isinstance(self.geometry, ProductGeometry):
@@ -139,10 +136,6 @@ class PistonConfig:
                 f"need 0 < beta < L, got beta = {self.geometry.beta}, L = {self.L}"
             )
         object.__setattr__(self, "L", L)
-        eps = float(self.epsilon)
-        if not math.isfinite(eps):
-            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
-        object.__setattr__(self, "epsilon", eps)
 
     @property
     def D(self) -> int:

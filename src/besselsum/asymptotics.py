@@ -3,15 +3,29 @@
 Each series family has an integral representation whose integrand is a
 product of meromorphic factors times beta^(-2t); shifting the integration
 contour to the left converts the series into a sum of residues, one per pole,
-each contributing a term (const + log_coeff * ln(beta)) * beta^p. This module
-builds those term lists.
+each contributing a term (const + log_coeff * ln(beta)) * beta^p with
+p = -2 t0. This module builds those term lists.
 
 The construction is generic rather than formula-by-formula: every family is
-described by its factor list, the engine enumerates all poles in the window
-dictated by the requested order, groups coincident poles (these produce the
-log terms via the double-pole rule), and assembles coefficients. Special
-parameter values (integer or half-integer order s) are snapped to exact
-rationals so pole collisions are detected exactly.
+described by its factor list, and one walk over one pole table builds every
+expansion. The engine enumerates the poles of all factors once, down to beta
+power order + 40, groups coincident poles (a double pole gives a log term via
+the double-pole rule), and walks the groups in ascending beta power:
+
+* a group at power <= order contributes its residue, if nonzero, as a term;
+* the first group past order whose residue is nonzero, or cannot be
+  evaluated (WindowError), gives remainder_power and ends the walk;
+* if no such group lies within the 40 extra powers, the series terminates
+  and remainder_power is None.
+
+Only the groups the walk reaches are checked: one closer than 1e-7 in t to a
+neighbouring group, or with more than two coincident poles, raises PoleError,
+and one that needs a Gamma residue 1/j! with j > 170 raises DomainError. The
+groups up to order are all reached, so they are checked before any residue.
+Special parameter values (integer or half-integer order s) are snapped to
+exact rationals so pole collisions are detected exactly. Orders above
+MAX_ORDER are refused with DomainError; the coefficients overflow double
+precision not far past it.
 
 Families and their factor products (norm * Gamma(t) * ... * beta^{-2t}):
 
@@ -50,11 +64,15 @@ __all__ = [
     "expand_f",
     "expand_f0",
     "evaluate",
+    "MAX_ORDER",
 ]
 
 _SNAP = 2e-12  # half-integer snapping tolerance on 2s
 _GRID = 1e-9  # float pole-grouping grid
 _GUARD = 1e-7  # distinct poles closer than this are numerically unusable
+_REACH = 40.0  # powers past order searched for the remainder term
+MAX_ORDER = 100.0  # largest truncation order accepted by the expand_* functions
+_MAX_FACTORIAL = 170  # j! overflows a double past this
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +199,12 @@ class _GammaFactor(_Factor):
     def poles(self, t_min: float) -> list:
         out = []
         j_max = int(math.floor(-float(self.shift) - t_min + 1e-9))
-        for j in range(0, j_max + 1):
+        for j in range(0, min(j_max, _MAX_FACTORIAL + 1) + 1):
             t0 = -self.shift - j if isinstance(self.shift, Fraction) else -float(self.shift) - j
+            if j > _MAX_FACTORIAL:
+                # The walk meets this pole before any later one, and refuses it.
+                out.append((t0, None, None))
+                break
             res = (-1.0) ** j / math.factorial(j)
             fp = res * (sf.harmonic(j) - sf.EULER_GAMMA)  # res * psi(j+1)
             out.append((t0, res, (lambda v=fp: v)))
@@ -274,35 +296,49 @@ class _ModelZetaFactor(_Factor):
 
 
 # ---------------------------------------------------------------------------
-# Engine: enumerate poles, group, take residues
+# Engine: enumerate poles once, group them, walk the groups
 # ---------------------------------------------------------------------------
 
 def _group_poles(factors, t_min: float, exact: bool) -> list:
-    """Group pole records by location; returns [(t0, [(fi, res, fp)...])]."""
-    records = []
+    """Group the poles with t0 >= t_min by location, in ascending beta power.
+
+    Returns [(loc, t0, [(fi, res, fp)...])], where loc is the group's float
+    location (rounded to the _GRID lattice unless exact).
+    """
+    groups: dict = {}
     for fi, fac in enumerate(factors):
         for (t0, res, fp) in fac.poles(t_min):
-            records.append((t0, fi, res, fp))
-    groups: dict = {}
-    for (t0, fi, res, fp) in records:
-        key = t0 if exact else round(float(t0) / _GRID)
-        groups.setdefault(key, []).append((t0, fi, res, fp))
-    # collision guard: distinct groups closer than _GUARD are numerically
-    # unusable (residues blow up like 1/distance without cancelling exactly)
-    locs = sorted(float(k if exact else k * _GRID) for k in groups)
-    for a, b in zip(locs, locs[1:]):
-        if 0.0 < b - a < _GUARD:
+            key = t0 if exact else round(float(t0) / _GRID)
+            groups.setdefault(key, []).append((t0, fi, res, fp))
+    out = [
+        (float(key if exact else key * _GRID), plist[0][0],
+         [(fi, res, fp) for (_, fi, res, fp) in plist])
+        for key, plist in groups.items()
+    ]
+    out.sort(key=lambda g: -float(g[1]))  # ascending beta-power
+    return out
+
+
+def _check_group(groups: list, i: int) -> None:
+    """Refuse group i of the walk if a neighbouring group lies closer than
+    _GUARD (its residue would blow up like 1/distance without cancelling
+    exactly), if more than two poles coincide there, or if a residue there
+    is past double precision."""
+    loc, t0, plist = groups[i]
+    for j in (i - 1, i + 1):
+        if 0 <= j < len(groups) and 0.0 < abs(groups[j][0] - loc) < _GUARD:
+            a, b = sorted((loc, groups[j][0]))
             raise PoleError(
                 f"poles at t={a} and t={b} nearly collide; the order parameter "
                 "is too close to a special value for the generic branch"
             )
-    out = []
-    for key, plist in groups.items():
-        if len(plist) > 2:
-            raise PoleError(f"unexpected pole of multiplicity {len(plist)} at t={plist[0][0]}")
-        out.append((plist[0][0], [(fi, res, fp) for (_, fi, res, fp) in plist]))
-    out.sort(key=lambda g: -float(g[0]))  # ascending beta-power
-    return out
+    if len(plist) > 2:
+        raise PoleError(f"unexpected pole of multiplicity {len(plist)} at t={t0}")
+    if any(res is None for (_, res, _) in plist):
+        raise DomainError(
+            f"the residue at t={t0} needs 1/j! for j > {_MAX_FACTORIAL}, past double "
+            "precision; s is too far below zero"
+        )
 
 
 def _residue_term(factors, norm: float, t0, plist):
@@ -345,47 +381,28 @@ def _residue_term(factors, norm: float, t0, plist):
     return (const, logc)
 
 
-def _assemble(factors, norm: float, order: float, exact: bool, params: dict,
-              family: str, case_tag: str) -> Expansion:
-    if not (math.isfinite(order)):
-        raise DomainError(f"order must be finite, got {order}")
-    buffer = 4.0
-    terms_map: dict = {}
-    remainder: Optional[float] = None
-    while True:
-        t_min = -(order + buffer) / 2.0
-        groups = _group_poles(factors, t_min, exact)
-        terms_map.clear()
-        remainder = None
-        for (t0, plist) in groups:
-            power = -2.0 * float(t0)
-            if power <= order + 1e-12:
-                coeffs = _residue_term(factors, norm, t0, plist)
-                if coeffs is not None:
-                    terms_map[power] = coeffs
-            else:
-                # beyond the requested order: only need to know whether the
-                # term is nonzero to record the remainder power
-                try:
-                    coeffs = _residue_term(factors, norm, t0, plist)
-                except WindowError:
-                    coeffs = (math.nan, 0.0)  # unknown, generically nonzero
-                if coeffs is not None:
-                    remainder = power if remainder is None else min(remainder, power)
-        if remainder is not None or buffer >= 40.0:
-            break
-        buffer += 4.0
-    terms = tuple(
-        ExpansionTerm(p, c, l) for p, (c, l) in sorted(terms_map.items())
-    )
-    return Expansion(
-        family=family,
-        case_tag=case_tag,
-        params=params,
-        terms=terms,
-        max_power=float(order),
-        remainder_power=remainder,
-    )
+def _assemble(factors, norm: float, order: float, exact: bool):
+    """One walk over the pole groups: (terms up to beta^order, remainder_power)."""
+    groups = _group_poles(factors, -(order + _REACH) / 2.0, exact)
+    n_terms = sum(1 for (_, t0, _) in groups if -2.0 * float(t0) <= order + 1e-12)
+    for i in range(n_terms):  # the walk reaches all of these: refuse before any residue
+        _check_group(groups, i)
+    terms = []
+    for (_, t0, plist) in groups[:n_terms]:
+        coeffs = _residue_term(factors, norm, t0, plist)
+        if coeffs is not None:
+            terms.append(ExpansionTerm(-2.0 * float(t0), *coeffs))
+    for i in range(n_terms, len(groups)):
+        _check_group(groups, i)
+        _, t0, plist = groups[i]
+        power = -2.0 * float(t0)
+        try:
+            if _residue_term(factors, norm, t0, plist) is None:
+                continue
+        except WindowError:
+            pass  # unknown, generically nonzero
+        return tuple(terms), power
+    return tuple(terms), None
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +456,39 @@ def dispatch_case(family: str, s: float, D_or_d: Optional[int] = None) -> str:
 # Family front ends
 # ---------------------------------------------------------------------------
 
-def _order_check(order: float) -> float:
+def _expand(family: str, s: float, order: float, norm: float, params: dict,
+            model: Optional[ManifoldModel] = None,
+            last: Optional[_Factor] = None) -> Expansion:
+    """The front end every family shares.
+
+    The integrand is norm * Gamma(t) Gamma(t+s) [zeta_M(s+t)] [last(t)]
+    * beta^{-2t}, with the model-zeta factor present when a model is given.
+    """
     order = float(order)
     if not math.isfinite(order):
         raise DomainError(f"order must be finite, got {order}")
-    return order
+    if order > MAX_ORDER:
+        raise DomainError(
+            f"order must be at most {MAX_ORDER:g}, got {order:g}: past it the "
+            "coefficients overflow double precision"
+        )
+    sh = _snap_half(s)
+    tag = dispatch_case(family, s, None if model is None else model.D)
+    s_sym = sh if sh is not None else float(s)
+    factors = [_GammaFactor(Fraction(0) if sh is not None else 0.0), _GammaFactor(s_sym)]
+    if model is not None:
+        factors.append(_ModelZetaFactor(model, s_sym))
+    if last is not None:
+        factors.append(last)
+    terms, remainder = _assemble(factors, norm, order, sh is not None)
+    return Expansion(
+        family=family,
+        case_tag=tag,
+        params=params,
+        terms=terms,
+        max_power=order,
+        remainder_power=remainder,
+    )
 
 
 def _check_x(x: float) -> float:
@@ -456,79 +501,31 @@ def _check_x(x: float) -> float:
 def expand_h(s: float, x: float, order: float) -> Expansion:
     """Small-beta expansion of h(s, beta, x) up to beta^order."""
     x = _check_x(x)
-    order = _order_check(order)
-    sh = _snap_half(s)
-    tag = dispatch_case("h", s)
-    s_sym = sh if sh is not None else float(s)
-    factors = [
-        _GammaFactor(Fraction(0) if sh is not None else 0.0),
-        _GammaFactor(s_sym),
-        _PolylogPairFactor(x),
-    ]
-    params = {"s": float(s), "x": x}
-    return _assemble(factors, 0.25, order, sh is not None, params, "h", tag)
+    return _expand("h", s, order, 0.25, {"s": float(s), "x": x},
+                   last=_PolylogPairFactor(x))
 
 
 def expand_h0(s: float, order: float) -> Expansion:
     """Small-beta expansion of h0(s, beta) up to beta^order."""
-    order = _order_check(order)
-    sh = _snap_half(s)
-    tag = dispatch_case("h0", s)
-    s_sym = sh if sh is not None else float(s)
-    factors = [
-        _GammaFactor(Fraction(0) if sh is not None else 0.0),
-        _GammaFactor(s_sym),
-        _RiemannZeta2tFactor(),
-    ]
-    params = {"s": float(s)}
-    return _assemble(factors, 0.5, order, sh is not None, params, "h0", tag)
+    return _expand("h0", s, order, 0.5, {"s": float(s)}, last=_RiemannZeta2tFactor())
 
 
 def expand_g(d: int, s: float, order: float) -> Expansion:
     """Small-beta expansion of the lattice series g(d; s, beta)."""
     if d != int(d) or int(d) < 1:
         raise DomainError(f"lattice dimension must be a positive integer, got {d}")
-    order = _order_check(order)
-    sh = _snap_half(s)
-    tag = dispatch_case("g", s, int(d))
-    s_sym = sh if sh is not None else float(s)
-    factors = [
-        _GammaFactor(Fraction(0) if sh is not None else 0.0),
-        _GammaFactor(s_sym),
-        _ModelZetaFactor(torus_model(int(d)), s_sym),
-    ]
-    params = {"d": int(d), "s": float(s)}
-    return _assemble(factors, 0.5, order, sh is not None, params, "g", tag)
+    d = int(d)
+    return _expand("g", s, order, 0.5, {"d": d, "s": float(s)}, model=torus_model(d))
 
 
 def expand_f(model: ManifoldModel, s: float, x: float, order: float) -> Expansion:
     """Small-beta expansion of f(model; s, beta, x)."""
     x = _check_x(x)
-    order = _order_check(order)
-    sh = _snap_half(s)
-    tag = dispatch_case("f", s, model.D)
-    s_sym = sh if sh is not None else float(s)
-    factors = [
-        _GammaFactor(Fraction(0) if sh is not None else 0.0),
-        _GammaFactor(s_sym),
-        _ModelZetaFactor(model, s_sym),
-        _PolylogPairFactor(x),
-    ]
     params = {"s": float(s), "x": x, "model": model.name, "D": model.D}
-    return _assemble(factors, 0.25, order, sh is not None, params, "f", tag)
+    return _expand("f", s, order, 0.25, params, model=model, last=_PolylogPairFactor(x))
 
 
 def expand_f0(model: ManifoldModel, s: float, order: float) -> Expansion:
     """Small-beta expansion of f0(model; s, beta) = f at phase x = 0."""
-    order = _order_check(order)
-    sh = _snap_half(s)
-    tag = dispatch_case("f0", s, model.D)
-    s_sym = sh if sh is not None else float(s)
-    factors = [
-        _GammaFactor(Fraction(0) if sh is not None else 0.0),
-        _GammaFactor(s_sym),
-        _ModelZetaFactor(model, s_sym),
-        _RiemannZeta2tFactor(),
-    ]
     params = {"s": float(s), "model": model.name, "D": model.D}
-    return _assemble(factors, 0.5, order, sh is not None, params, "f0", tag)
+    return _expand("f0", s, order, 0.5, params, model=model, last=_RiemannZeta2tFactor())

@@ -34,7 +34,6 @@ __all__ = [
     "gamma_complex",
     "digamma",
     "harmonic",
-    "odd_harmonic",
     "bernoulli_number",
     "bernoulli_poly",
     "bessel_k",
@@ -43,7 +42,6 @@ __all__ = [
     "hurwitz_zeta_deriv",
     "riemann_zeta",
     "riemann_zeta_deriv",
-    "riemann_zeta_fp_at_1",
     "polylog_pair",
     "polylog_pair_deriv",
     "lattice_shell_counts",
@@ -117,13 +115,6 @@ def harmonic(n: int) -> float:
     if n < 0 or n != int(n):
         raise DomainError(f"harmonic index must be a nonnegative integer, got {n}")
     return math.fsum(1.0 / k for k in range(1, int(n) + 1))
-
-
-def odd_harmonic(n: int) -> float:
-    """Sum_{k=1..n} 1/(2k-1), empty sum = 0."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"odd_harmonic index must be a nonnegative integer, got {n}")
-    return math.fsum(1.0 / (2 * k - 1) for k in range(1, int(n) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +310,17 @@ def _hurwitz_reflect(s: float, a: float, want_deriv: bool = False):
     c_half = _cospi(nu / 2.0)
     s_half = _sinpi(nu / 2.0)
     C = polylog_pair(nu, a)
-    S = _sine_pair(nu, a)
+    S = _pp_mellin(_pp_q_sin, nu, a)
     G = c_half * C + s_half * S
     if not want_deriv:
         return F * G
     dF = F * (float(_sp.digamma(nu)) - math.log(2.0 * math.pi))
+    dS = _pp_mellin(_pp_q_sin, nu, a, log_weight=True) - float(_sp.digamma(nu)) * S
     dG = (
         -(math.pi / 2.0) * s_half * C
         + c_half * polylog_pair_deriv(nu, a)
         + (math.pi / 2.0) * c_half * S
-        + s_half * _sine_pair_deriv(nu, a)
+        + s_half * dS
     )
     # d/ds = -d/dnu
     return F * G, -(dF * G + F * dG)
@@ -415,11 +407,6 @@ def riemann_zeta_deriv(s: float) -> float:
     return float(d)
 
 
-def riemann_zeta_fp_at_1() -> float:
-    """Finite part of zeta at its pole: lim_{s->1} (zeta(s) - 1/(s-1)) = gamma."""
-    return EULER_GAMMA
-
-
 def _riemann_zeta_complex(z: complex) -> complex:
     """zeta(z) for complex z with Re z > 1/2 (used on vertical contours)."""
     return complex(_hurwitz_em(complex(z), 1.0))
@@ -444,35 +431,29 @@ def _pp_q_sin(t: np.ndarray | float, x: float):
     return sn * e / (1.0 - 2.0 * c * e + e * e)
 
 
-def _sine_pair(nu: float, x: float) -> float:
-    """S(nu, x) = 2 sum_{m>=1} sin(2 pi m x)/m^nu for nu > 1/2 (integral route)."""
+def _pp_mellin(kernel, nu: float, x: float, log_weight: bool = False) -> float:
+    """(2/Gamma(nu)) int_0^inf t^{nu-1} [ln t] kernel(t, x) dt, for nu > 1/2.
+
+    The integral route of the cosine pair C(nu, x) (kernel _pp_q) and of the
+    sine pair S(nu, x) (kernel _pp_q_sin); with log_weight the integrand
+    carries ln t, which gives their nu-derivatives up to a digamma term. The
+    range is split at t=1, with the substitution tau = t^nu on [0,1] to
+    absorb the t^{nu-1} weight (t^{nu-1} ln t dt -> ln(tau) dtau / nu^2).
+    """
     inv_nu = 1.0 / nu
 
     def low(tau):
-        return _pp_q_sin(tau ** inv_nu, x)
+        w = math.log(tau) if log_weight else 1.0
+        return w * kernel(tau ** inv_nu, x)
 
     def high(t):
-        return t ** (nu - 1.0) * _pp_q_sin(t, x)
+        w = math.log(t) if log_weight else 1.0
+        return t ** (nu - 1.0) * w * kernel(t, x)
 
     i1, _ = _quad(low, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     i2, _ = _quad(high, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return 2.0 / float(_sp.gamma(nu)) * (inv_nu * i1 + i2)
-
-
-def _sine_pair_deriv(nu: float, x: float) -> float:
-    """d/dnu S(nu, x) for nu > 1/2."""
-    inv_nu = 1.0 / nu
-
-    def low_log(tau):
-        return math.log(tau) * _pp_q_sin(tau ** inv_nu, x)
-
-    def high_log(t):
-        return t ** (nu - 1.0) * math.log(t) * _pp_q_sin(t, x)
-
-    i1, _ = _quad(low_log, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    i2, _ = _quad(high_log, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    glog = 2.0 / float(_sp.gamma(nu)) * (inv_nu * inv_nu * i1 + i2)
-    return glog - float(_sp.digamma(nu)) * _sine_pair(nu, x)
+    scale = inv_nu * inv_nu if log_weight else inv_nu
+    return 2.0 / float(_sp.gamma(nu)) * (scale * i1 + i2)
 
 
 def _pp_hurwitz(nu: float, x: float) -> float:
@@ -519,25 +500,6 @@ def _pp_small_nu(nu: float, x: float, want_deriv: bool = False):
     # d/dnu [ -2Q + nu Q T ] with dT/dnu = -dT/ds
     dval = -2.0 * dQ + Q * T + nu * dQ * T + nu * Q * (-dT)
     return val, dval
-
-
-def _pp_integral(nu: float, x: float) -> float:
-    """Real-integral route, accurate for nu > 1/2.
-
-    C(nu,x) = (2/Gamma(nu)) * int_0^inf t^{nu-1} q(t,x) dt, split at t=1 with
-    the substitution tau = t^nu on [0,1] to absorb the t^{nu-1} weight.
-    """
-    inv_nu = 1.0 / nu
-
-    def low(tau):
-        return _pp_q(tau ** inv_nu, x)
-
-    def high(t):
-        return t ** (nu - 1.0) * _pp_q(t, x)
-
-    i1, _ = _quad(low, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    i2, _ = _quad(high, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return 2.0 / float(_sp.gamma(nu)) * (inv_nu * i1 + i2)
 
 
 def _pp_half_value(nu: float) -> float:
@@ -604,7 +566,7 @@ def _polylog_pair_impl(nu: float, x: float) -> float:
         return _pp_small_nu(nu, x)
     if nu <= 0.5:
         return _pp_hurwitz(nu, x)
-    return _pp_integral(nu, x)
+    return _pp_mellin(_pp_q, nu, x)
 
 
 def _pp_hurwitz_deriv(nu: float, x: float) -> float:
@@ -621,23 +583,6 @@ def _pp_hurwitz_deriv(nu: float, x: float) -> float:
         + (math.pi / 2.0) * (_cospi(nu / 2.0) / _sinpi(nu / 2.0))
     )
     return dpref * ssum + pref * dsum
-
-
-def _pp_integral_deriv(nu: float, x: float) -> float:
-    """d/dnu of the integral route (valid nu > 1/2)."""
-    inv_nu = 1.0 / nu
-
-    def low_log(tau):
-        # t^{nu-1} ln t dt -> (1/nu^2) ln(tau) q(tau^{1/nu}) dtau on [0,1]
-        return math.log(tau) * _pp_q(tau ** inv_nu, x)
-
-    def high_log(t):
-        return t ** (nu - 1.0) * math.log(t) * _pp_q(t, x)
-
-    i1, _ = _quad(low_log, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    i2, _ = _quad(high_log, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    glog = 2.0 / float(_sp.gamma(nu)) * (inv_nu * inv_nu * i1 + i2)
-    return glog - float(_sp.digamma(nu)) * polylog_pair(nu, x)
 
 
 def polylog_pair_deriv(nu: float, x: float) -> float:
@@ -665,7 +610,8 @@ def polylog_pair_deriv(nu: float, x: float) -> float:
         return d
     if nu <= 0.5:
         return _pp_hurwitz_deriv(nu, x)
-    return _pp_integral_deriv(nu, x)
+    glog = _pp_mellin(_pp_q, nu, x, log_weight=True)
+    return glog - float(_sp.digamma(nu)) * polylog_pair(nu, x)
 
 
 def _polylog_pair_complex(nu: complex, x: float) -> complex:

@@ -1,6 +1,7 @@
 """Expansion-engine mechanics: dispatch, double poles, term invariants."""
 
 import math
+import time
 
 import pytest
 
@@ -135,6 +136,56 @@ def test_near_collision_raises_pole_error():
     # catastrophically cancelling terms
     with pytest.raises(PoleError):
         asym.expand_h0(1e-9, 6.0)
+
+
+@pytest.mark.parametrize("d,s,order,remainder", [
+    (2, 9.0 + 4e-8, 2.0, 4.0),
+    (3, 10.5 + 5e-8, 2.0, 4.0),
+    (3, 6.5 + 3e-8, 1.0, 2.0),
+])
+def test_near_collision_past_the_remainder_is_not_reached(d, s, order, remainder):
+    # the two Gamma ladders nearly collide near t = -s, far past the first
+    # nonzero residue beyond the order, so the walk never reaches them
+    ex = asym.expand_g(d, s, order)
+    assert ex.remainder_power == remainder
+    assert ex.terms
+    for t in ex.terms:
+        assert math.isfinite(t.const_coeff) and math.isfinite(t.log_coeff)
+
+
+def test_one_pole_table_per_expansion(monkeypatch):
+    calls = []
+    group = asym._group_poles
+    monkeypatch.setattr(asym, "_group_poles", lambda *a: calls.append(a) or group(*a))
+    ex = asym.expand_f0(CIRCLE, 0.5, 12.0)  # terminates: no remainder term
+    assert ex.remainder_power is None
+    assert len(calls) == 1
+
+
+def test_order_cap():
+    for order in (asym.MAX_ORDER + 1.0, 1e9):
+        with pytest.raises(DomainError):
+            asym.expand_h0(0.5, order)
+    ex = asym.expand_h(0.3, 0.3, asym.MAX_ORDER)
+    assert ex.remainder_power is not None and ex.remainder_power > asym.MAX_ORDER
+    for t in ex.terms:
+        assert math.isfinite(t.const_coeff) and math.isfinite(t.log_coeff)
+
+
+def test_gamma_residue_past_double_precision_raises_domain_error():
+    # s = -200 needs 1/j! for j near 200 at beta^0
+    with pytest.raises(DomainError):
+        asym.expand_h0(-200.0, 2.0)
+
+
+@pytest.mark.parametrize("s", [-1e7, -1e12, -1e12 - 0.3])
+def test_far_negative_s_refused_at_once(s):
+    # the Gamma(t+s) ladder holds about -s poles above the order; only the
+    # first 172 are enumerated, and the refusal comes before any residue
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        asym.expand_h0(s, 2.0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_remainder_power_present_for_truncated_series():

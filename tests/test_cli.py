@@ -217,6 +217,22 @@ class TestExpand:
         assert code == 2
         assert err.startswith("besselsum: PoleError")
 
+    def test_order_above_cap_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, ["expand", "--series", "h0", "--s", "0.5",
+                                          "--order", "1e9"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("besselsum: DomainError")
+
+    def test_far_negative_s_exit_2(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["expand", "--series", "h0", "--s=-1e12",
+                                          "--order", "2"])
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert out == ""
+        assert err.startswith("besselsum: DomainError")
+
 
 # ---------------------------------------------------------------------------
 # compare / oracle (exit 3 on tolerance failure)

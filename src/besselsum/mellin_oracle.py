@@ -19,7 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import scipy.integrate
 import scipy.special
 
 from . import specfun as sf
@@ -51,6 +50,8 @@ def _check_beta(beta: float):
 
 
 def _integrate_panels(fn, cfg: ContourConfig) -> float:
+    import scipy.integrate  # here, so that importing the package does not load it
+
     total = 0.0
     y = 0.0
     width = 2.0

@@ -1,12 +1,19 @@
 """Scalar special functions used throughout the package.
 
 Everything here is real-analytic plumbing: gamma-family wrappers with explicit
-pole checks, Bernoulli machinery, the modified Bessel K (scipy's AMOS kv), a
-Hurwitz/Riemann zeta pair built on Euler-Maclaurin summation (with analytic
-s-derivatives), the symmetric polylogarithm pair Li_nu(e^{2*pi*i*x}) +
-Li_nu(e^{-2*pi*i*x}) continued to all real orders, and the Epstein zeta
-function of the integer lattice in d dimensions via its completed
-(incomplete-gamma) representation.
+pole checks, Bernoulli machinery, the modified Bessel K (scipy's AMOS kv),
+Riemann zeta values from scipy, a Hurwitz zeta built on Euler-Maclaurin
+summation (with analytic s-derivatives), the symmetric polylogarithm pair
+C(nu, x) = Li_nu(e^{2*pi*i*x}) + Li_nu(e^{-2*pi*i*x}) continued to all real
+orders, and the Epstein zeta function of the integer lattice in d dimensions
+via its completed (incomplete-gamma) representation.
+
+The polylogarithm pair has two routes split at nu = -1/2: above it the
+Taylor series of Li_nu(e^w) about w = 0, below it the Hurwitz reflection.
+Within 1/4 of a positive integer order the series sums its head and its one
+zeta pole as one regular term (the pair split). The same series gives the
+sine pair, which the Hurwitz reflection for s <= -1/2 uses. No route
+integrates numerically.
 
 Accuracy targets are double precision: each function is tested against
 independent high-precision oracles to ~1e-12 relative or better in its
@@ -23,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.special as _sp
-from scipy.integrate import quad as _quad
 
 from .errors import DomainError, PoleError
 
@@ -34,7 +40,6 @@ __all__ = [
     "gamma_complex",
     "digamma",
     "harmonic",
-    "bernoulli_number",
     "bernoulli_poly",
     "bessel_k",
     "bessel_k_many",
@@ -52,10 +57,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-
-# Stieltjes constant gamma_1 (zeta(1+d) = 1/d + gamma - gamma_1*d + ...),
-# used only in the near-order-1 series of the half-period polylog derivative.
-_STIELTJES_1 = -0.0728158454836767248605863758749013191377
 
 _INT_SNAP = 1e-12
 
@@ -133,13 +134,6 @@ def _bernoulli_numbers(n: int) -> tuple:
     return tuple(out)
 
 
-def bernoulli_number(n: int) -> Fraction:
-    """Bernoulli number B_n as an exact Fraction."""
-    if n < 0:
-        raise DomainError("Bernoulli index must be nonnegative")
-    return _bernoulli_numbers(n)[n]
-
-
 def bernoulli_poly(n: int, x: float) -> float:
     """Bernoulli polynomial B_n(x), exact rational coefficients, float result."""
     if n < 0 or n != int(n):
@@ -184,6 +178,13 @@ def bessel_k(nu: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 _EM_M = 14  # number of Bernoulli correction pairs
+
+
+@lru_cache(maxsize=None)
+def _em_coeffs() -> tuple:
+    """B_{2j}/(2j)! as floats, j = 0.._EM_M."""
+    bern = _bernoulli_numbers(2 * _EM_M)
+    return tuple(float(bern[2 * j]) / math.factorial(2 * j) for j in range(_EM_M + 1))
 
 
 def _hurwitz_em(s, a: float, want_deriv: bool = False, pole_subtracted: bool = False):
@@ -240,7 +241,7 @@ def _hurwitz_em(s, a: float, want_deriv: bool = False, pole_subtracted: bool = F
         dtail = (-lw * w1 / sm1 - w1 / (sm1 * sm1) - 0.5 * lw * winv) if want_deriv else 0.0
 
     # Bernoulli corrections: sum_j B_{2j}/(2j)! * (s)_{2j-1} * w^{-s-2j+1}
-    bern = _bernoulli_numbers(2 * _EM_M)
+    coef = _em_coeffs()
     r = 1.0 + 0j if is_complex else 1.0   # rising factorial (s)_{2j-1}
     dr = 0.0
     i = 0  # number of factors accumulated in r
@@ -253,7 +254,7 @@ def _hurwitz_em(s, a: float, want_deriv: bool = False, pole_subtracted: bool = F
                 dr = dr * (s + i) + r
             r = r * (s + i)
             i += 1
-        c = float(bern[2 * j]) / math.factorial(2 * j)
+        c = coef[j]
         corr += c * r * wpow
         if want_deriv:
             dcorr += c * (dr * wpow + r * (-lw) * wpow)
@@ -292,7 +293,9 @@ def _hurwitz_reflect(s: float, a: float, want_deriv: bool = False):
     """zeta(s, a) for s <= -1/2, 0 < a <= 1, via the reflection formula.
 
     zeta(1-nu, a) = Gamma(nu) (2 pi)^-nu [cos(pi nu/2) C(nu,a) + sin(pi nu/2) S(nu,a)]
-    where C and S are the cosine and sine pair sums of order nu = 1 - s > 3/2.
+    where C and S are the cosine and sine pairs of order nu = 1 - s >= 3/2,
+    i.e. 2 Re and 2 Im of L = Li_nu(e^{2 pi i a}), so the bracket is
+    2 Re[e^{-i pi nu/2} L]; L comes from the series route _li_series.
     """
     if a == 1.0:
         if want_deriv:
@@ -307,21 +310,16 @@ def _hurwitz_reflect(s: float, a: float, want_deriv: bool = False):
         return (t - 1.0) * z
     nu = 1.0 - s
     F = float(_sp.gamma(nu)) * (2.0 * math.pi) ** (-nu)
-    c_half = _cospi(nu / 2.0)
-    s_half = _sinpi(nu / 2.0)
-    C = polylog_pair(nu, a)
-    S = _pp_mellin(_pp_q_sin, nu, a)
-    G = c_half * C + s_half * S
+    phase = complex(_cospi(nu / 2.0), -_sinpi(nu / 2.0))
+    got = _li_series(nu, min(a, 1.0 - a), want_deriv)
+    li, dli = got if want_deriv else (got, 0j)
+    if a > 0.5:  # Li_nu(e^{2 pi i a}) is the conjugate of its value at 1 - a
+        li, dli = li.conjugate(), dli.conjugate()
+    G = 2.0 * (phase * li).real
     if not want_deriv:
         return F * G
     dF = F * (float(_sp.digamma(nu)) - math.log(2.0 * math.pi))
-    dS = _pp_mellin(_pp_q_sin, nu, a, log_weight=True) - float(_sp.digamma(nu)) * S
-    dG = (
-        -(math.pi / 2.0) * s_half * C
-        + c_half * polylog_pair_deriv(nu, a)
-        + (math.pi / 2.0) * c_half * S
-        + s_half * dS
-    )
+    dG = 2.0 * (phase * (dli - 0.5j * math.pi * li)).real
     # d/ds = -d/dnu
     return F * G, -(dF * G + F * dG)
 
@@ -377,18 +375,19 @@ def _chi_deriv(s: float) -> float:
     )
 
 
-@lru_cache(maxsize=8192)
 def riemann_zeta(s: float) -> float:
-    """Riemann zeta on the real line (PoleError at s=1; exact 0 at -2, -4, ...)."""
+    """Riemann zeta on the real line (PoleError at s=1; exact 0 at -2, -4, ...).
+
+    Values come from scipy.special.zeta (Cephes), within a few 1e-14 of
+    mpmath over s in [-200, 60].
+    """
     s = float(s)
     if abs(s - 1.0) < _INT_SNAP:
         raise PoleError("riemann_zeta pole at s=1")
-    if s <= -0.5:
-        n = _near_int(s)
-        if n is not None and n <= -2 and n % 2 == 0:
-            return 0.0
-        return _chi(s) * riemann_zeta(1.0 - s)
-    return float(_hurwitz_em(s, 1.0))
+    n = _near_int(s)
+    if n is not None and n <= -2 and n % 2 == 0:
+        return 0.0
+    return float(_sp.zeta(s))
 
 
 @lru_cache(maxsize=8192)
@@ -413,112 +412,93 @@ def _riemann_zeta_complex(z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric polylogarithm pair C(nu, x) = Li_nu(e^{2 pi i x}) + Li_nu(e^{-2 pi i x})
+# Polylogarithm pairs at phase x in (0, 1), both from L = Li_nu(e^{2 pi i x}):
+#   C(nu, x) = Li_nu(e^{2 pi i x}) + Li_nu(e^{-2 pi i x}) = 2 Re L,
+#   S(nu, x) = -i [Li_nu(e^{2 pi i x}) - Li_nu(e^{-2 pi i x})] = 2 Im L.
 # ---------------------------------------------------------------------------
 
-def _pp_q(t: np.ndarray | float, x: float):
-    """Kernel q(t,x) = sum_{m>=1} cos(2 pi m x) e^{-m t}, in closed form."""
-    c = math.cos(2.0 * math.pi * x)
-    e = np.exp(-t)
-    return (c * e - e * e) / (1.0 - 2.0 * c * e + e * e)
+_LI_K = np.arange(68)  # k <= 67: for x <= 1/2 the terms fall like 2^-k
+_LI_WK = 1j ** _LI_K / _sp.factorial(_LI_K)  # i^k / k!
+_SPLIT_J = np.arange(2, 40)  # |eps| < 1/4: the terms of l(eps) fall like 4^-j
 
 
-def _pp_q_sin(t: np.ndarray | float, x: float):
-    """Kernel sum_{m>=1} sin(2 pi m x) e^{-m t}, in closed form."""
-    c = math.cos(2.0 * math.pi * x)
-    sn = math.sin(2.0 * math.pi * x)
-    e = np.exp(-t)
-    return sn * e / (1.0 - 2.0 * c * e + e * e)
+def _exprel(z: complex):
+    """(e^z - 1)/z and its derivative ((z-1) e^z + 1)/z^2, both regular at z = 0."""
+    if abs(z) < 0.5:
+        e1 = e2 = 0.0
+        for k in range(20, -1, -1):  # Taylor: z^k/(k+1)! and (k+1) z^k/(k+2)!
+            e1 = e1 * z + 1.0 / math.factorial(k + 1)
+            e2 = e2 * z + (k + 1) / math.factorial(k + 2)
+        return e1, e2
+    ez = cmath.exp(z)
+    return (ez - 1.0) / z, ((z - 1.0) * ez + 1.0) / (z * z)
 
 
-def _pp_mellin(kernel, nu: float, x: float, log_weight: bool = False) -> float:
-    """(2/Gamma(nu)) int_0^inf t^{nu-1} [ln t] kernel(t, x) dt, for nu > 1/2.
+def _li_series(nu: float, x: float, want_deriv: bool = False):
+    """L = Li_nu(e^{2 pi i x}) (and dL/dnu) for nu > -1/2, nu != 0, 0 < x <= 1/2.
 
-    The integral route of the cosine pair C(nu, x) (kernel _pp_q) and of the
-    sine pair S(nu, x) (kernel _pp_q_sin); with log_weight the integrand
-    carries ln t, which gives their nu-derivatives up to a digamma term. The
-    range is split at t=1, with the substitution tau = t^nu on [0,1] to
-    absorb the t^{nu-1} weight (t^{nu-1} ln t dt -> ln(tau) dtau / nu^2).
+    The Taylor series of Li_nu(e^w) about w = 0 (Wood, "The computation of
+    polylogarithms", Univ. of Kent TR 15-92, 1992; Crandall, "Note on fast
+    polylogarithm computation", 2006), at w = i y with y = 2 pi x:
+
+        Li_nu(e^w) = Gamma(1-nu) (-w)^(nu-1) + sum_k zeta(nu-k) w^k / k!,
+
+    whose head is A (1/cos(pi nu/2) + i/sin(pi nu/2)) with
+    A = pi y^(nu-1) / (2 Gamma(nu)), taken in log space so that it neither
+    overflows nor gives 0 * inf at large nu. The pair split: within 1/4 of a
+    positive integer n the head's pole cancels the pole of zeta(nu-k) at
+    k = m = n-1, and with eps = nu - n the two are summed as one regular term
+
+        w^m/m! [Z(eps) - (e^(eps l) - 1)/eps],    Z(eps) = zeta(1+eps) - 1/eps,
+        l(eps) = ln(-w) - psi(n) + sum_(j>=2) [zeta(j) + (-1)^j H^(j)_m] eps^(j-1)/j,
+
+    where eps l(eps) = ln[-eps m! (-1)^m Gamma(-m-eps) (-w)^eps], so that at
+    eps = 0 the term is the Li_n limit w^m/m! (H_m - ln(-w)). The
+    nu-derivative is taken term by term.
     """
-    inv_nu = 1.0 / nu
-
-    def low(tau):
-        w = math.log(tau) if log_weight else 1.0
-        return w * kernel(tau ** inv_nu, x)
-
-    def high(t):
-        w = math.log(t) if log_weight else 1.0
-        return t ** (nu - 1.0) * w * kernel(t, x)
-
-    i1, _ = _quad(low, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    i2, _ = _quad(high, 1.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200)
-    scale = inv_nu * inv_nu if log_weight else inv_nu
-    return 2.0 / float(_sp.gamma(nu)) * (scale * i1 + i2)
+    y = 2.0 * math.pi * x
+    ly = math.log(y)
+    n = round(nu)
+    m = n - 1 if n >= 1 and abs(nu - n) < 0.25 else -1  # the split index, or -1
+    zetas = _sp.zeta(nu - _LI_K)
+    if 0 <= m < len(_LI_K):
+        zetas[m] = 0.0
+    wk = y ** _LI_K * _LI_WK
+    val = complex(np.dot(zetas, wk))
+    if want_deriv:
+        dzetas = [0.0 if k == m else riemann_zeta_deriv(nu - k) for k in range(len(_LI_K))]
+        dval = complex(np.dot(dzetas, wk))
+    if m >= 0:
+        eps = nu - n
+        sgn = (-1.0) ** _SPLIT_J
+        coef = ((1.0 + sgn) * _sp.zeta(_SPLIT_J) - sgn * _sp.zeta(_SPLIT_J, n)) / _SPLIT_J
+        ell = complex(ly - _sp.digamma(n), -0.5 * math.pi) + eps * np.polyval(coef[::-1], eps)
+        z, dz = _hurwitz_em(1.0 + eps, 1.0, want_deriv=True, pole_subtracted=True)
+        e1, e2 = _exprel(eps * ell)
+        wm = 1j ** m * math.exp(m * ly - math.lgamma(n))  # w^m / m!
+        val += wm * (z - ell * e1)
+        if want_deriv:
+            dl = np.polyval((coef * (_SPLIT_J - 1))[::-1], eps)
+            dval += wm * (dz - dl * e1 - ell * e2 * (ell + eps * dl))
+    else:
+        c = _cospi(nu / 2.0)
+        s = _sinpi(nu / 2.0)
+        A = 0.5 * math.pi * _sp.gammasgn(nu) * math.exp((nu - 1.0) * ly - _sp.gammaln(nu))
+        T = complex(1.0 / c, 1.0 / s)
+        val += A * T
+        if want_deriv:
+            dT = 0.5 * math.pi * complex(s / (c * c), -c / (s * s))
+            dval += A * ((ly - _sp.digamma(nu)) * T + dT)
+    if want_deriv:
+        return val, dval
+    return val
 
 
 def _pp_hurwitz(nu: float, x: float) -> float:
-    """Reflection route, accurate for nu <= 1/2."""
+    """Reflection route, for nu <= -1/2."""
     pref = (2.0 * math.pi) ** nu * float(_sp.gamma(1.0 - nu)) * _sinpi(nu / 2.0) / math.pi
     ssum = float(_hurwitz_em(1.0 - nu, x)) + float(_hurwitz_em(1.0 - nu, 1.0 - x))
     return pref * ssum
-
-
-def _cot_reg(z: float) -> float:
-    """pi*cot(pi z) - 1/z, regular at z = 0 (series for small z)."""
-    if abs(z) < 0.02:
-        z2 = z * z
-        return -z * (math.pi ** 2 / 3.0 + z2 * (math.pi ** 4 / 45.0 + z2 * (2.0 * math.pi ** 6 / 945.0)))
-    return math.pi * _cospi(z) / _sinpi(z) - 1.0 / z
-
-
-def _pp_small_nu(nu: float, x: float, want_deriv: bool = False):
-    """C(nu, x) (and d/dnu) near nu = 0 via the regular split.
-
-    Writing  C = P(nu)*Ssum  with  P = (2pi)^nu Gamma(1-nu) sin(pi nu/2)/pi
-    and  Ssum = zeta(1-nu,x) + zeta(1-nu,1-x): both factors are singular or
-    vanishing at nu = 0, so split  P = nu*Q  and  Ssum = -2/nu + T  with
-    Q, T regular; then  C = -2Q + nu*Q*T  is cancellation-free.
-    """
-    s = 1.0 - nu
-    # T = sum over a in {x, 1-x} of [zeta(s,a) - 1/(s-1)], noting 1/(s-1) = -1/nu.
-    za, da = _hurwitz_em(s, x, want_deriv=True, pole_subtracted=True)
-    zb, db = _hurwitz_em(s, 1.0 - x, want_deriv=True, pole_subtracted=True)
-    T = float(za + zb)
-    dT = float(da + db)  # d/ds; d/dnu = -d/ds
-    # Q = (2pi)^nu Gamma(1-nu) sinc-style factor /2: Q(0) = 1/2.
-    half = nu / 2.0
-    if abs(half) < 1e-300:
-        sinc = 1.0
-    else:
-        sinc = _sinpi(half) / (math.pi * half)
-    Q = (2.0 * math.pi) ** nu * float(_sp.gamma(1.0 - nu)) * sinc / 2.0
-    val = -2.0 * Q + nu * Q * T
-    if not want_deriv:
-        return val
-    dlnQ = math.log(2.0 * math.pi) - float(_sp.digamma(1.0 - nu)) + 0.5 * _cot_reg(half)
-    dQ = Q * dlnQ
-    # d/dnu [ -2Q + nu Q T ] with dT/dnu = -dT/ds
-    dval = -2.0 * dQ + Q * T + nu * dQ * T + nu * Q * (-dT)
-    return val, dval
-
-
-def _pp_half_value(nu: float) -> float:
-    """C(nu, 1/2) = 2 (2^{1-nu} - 1) zeta(nu), with the finite nu -> 1 limit."""
-    if abs(nu - 1.0) < _INT_SNAP:
-        return -2.0 * math.log(2.0)
-    return 2.0 * math.expm1((1.0 - nu) * math.log(2.0)) * riemann_zeta(nu)
-
-
-def _pp_half_deriv(nu: float) -> float:
-    ln2 = math.log(2.0)
-    if abs(nu - 1.0) < 1e-5:
-        # Series around nu = 1 (the direct formula cancels catastrophically).
-        d = nu - 1.0
-        c0 = ln2 * ln2 - 2.0 * EULER_GAMMA * ln2
-        c1 = 2.0 * (2.0 * _STIELTJES_1 * ln2 + EULER_GAMMA * ln2 * ln2 - ln2 ** 3 / 3.0)
-        return c0 + c1 * d
-    t = math.exp((1.0 - nu) * ln2)  # 2^{1-nu}
-    return 2.0 * (-ln2 * t * riemann_zeta(nu) + math.expm1((1.0 - nu) * ln2) * riemann_zeta_deriv(nu))
 
 
 _pp_cache: dict = {}
@@ -527,10 +507,13 @@ _pp_cache: dict = {}
 def polylog_pair(nu: float, x: float) -> float:
     """C(nu, x) = Li_nu(e^{2 pi i x}) + Li_nu(e^{-2 pi i x}) for real nu, x in (0,1).
 
-    Continued to all real orders. Exact branches: C(0,x) = -1; C at negative
-    even integer order is exactly 0; x = 1/2 reduces to the alternating zeta
-    form 2(2^{1-nu}-1) zeta(nu); positive even integer order reduces to a
-    Bernoulli polynomial; order 1 is -2 ln(2 sin(pi x)).
+    Continued to all real orders by two routes split at nu = -1/2. Above it,
+    the Taylor series of Li_nu(e^w) about w = 0 (see _li_series), with x
+    folded to min(x, 1-x); within 1/4 of each positive integer order its
+    head and its one zeta pole are summed as one regular term (the pair
+    split). At or below it, the Hurwitz reflection
+    C = (2 pi)^nu Gamma(1-nu) sin(pi nu/2) [zeta(1-nu,x) + zeta(1-nu,1-x)] / pi.
+    Exact branches: C(0, x) = -1, and C at negative even integer order is 0.
     """
     nu = float(nu)
     x = float(x)
@@ -548,29 +531,16 @@ def polylog_pair(nu: float, x: float) -> float:
 
 
 def _polylog_pair_impl(nu: float, x: float) -> float:
-    if abs(x - 0.5) < 1e-15:
-        return _pp_half_value(nu)
     n = _near_int(nu)
-    if n is not None:
-        if n == 0:
-            return -1.0
-        if n < 0 and n % 2 == 0:
-            return 0.0
-        if n == 1:
-            return -2.0 * math.log(2.0 * math.sin(math.pi * x))
-        if n >= 2 and n % 2 == 0:
-            k = n // 2
-            sign = -1.0 if (k % 2 == 0) else 1.0  # (-1)^{k+1}
-            return sign * (2.0 * math.pi) ** n * bernoulli_poly(n, x) / math.factorial(n)
-    if abs(nu) < 0.02:
-        return _pp_small_nu(nu, x)
-    if nu <= 0.5:
+    if n is not None and n <= 0 and n % 2 == 0:
+        return -1.0 if n == 0 else 0.0
+    if nu <= -0.5:
         return _pp_hurwitz(nu, x)
-    return _pp_mellin(_pp_q, nu, x)
+    return 2.0 * _li_series(nu, min(x, 1.0 - x)).real
 
 
 def _pp_hurwitz_deriv(nu: float, x: float) -> float:
-    """d/dnu of the reflection route (valid nu <= 1/2, nu away from 0)."""
+    """d/dnu of the reflection route (nu <= -1/2, off the even integers)."""
     pref = (2.0 * math.pi) ** nu * float(_sp.gamma(1.0 - nu)) * _sinpi(nu / 2.0) / math.pi
     s = 1.0 - nu
     za, da = _hurwitz_em(s, x, want_deriv=True)
@@ -586,13 +556,11 @@ def _pp_hurwitz_deriv(nu: float, x: float) -> float:
 
 
 def polylog_pair_deriv(nu: float, x: float) -> float:
-    """d/dnu C(nu, x), same domain as polylog_pair."""
+    """d/dnu C(nu, x), by the same routes and exact branches as polylog_pair."""
     nu = float(nu)
     x = float(x)
     if not (0.0 < x < 1.0):
         raise DomainError(f"polylog_pair requires x in (0,1), got x={x}")
-    if abs(x - 0.5) < 1e-15:
-        return _pp_half_deriv(nu)
     n = _near_int(nu)
     if n is not None and n == 0:
         # C'(0,x) = -(psi(x)+psi(1-x))/2 - ln(2 pi) - gamma
@@ -604,14 +572,9 @@ def polylog_pair_deriv(nu: float, x: float) -> float:
         return ((-1.0) ** m) * math.factorial(2 * m) / (2.0 * (2.0 * math.pi) ** (2 * m)) * (
             hurwitz_zeta(2 * m + 1.0, x) + hurwitz_zeta(2 * m + 1.0, 1.0 - x)
         )
-    if abs(nu) < 0.02:
-        # The reflection route's cot(pi nu/2) blows up; use the regular split.
-        _, d = _pp_small_nu(nu, x, want_deriv=True)
-        return d
-    if nu <= 0.5:
+    if nu <= -0.5:
         return _pp_hurwitz_deriv(nu, x)
-    glog = _pp_mellin(_pp_q, nu, x, log_weight=True)
-    return glog - float(_sp.digamma(nu)) * polylog_pair(nu, x)
+    return 2.0 * _li_series(nu, min(x, 1.0 - x), want_deriv=True)[1].real
 
 
 def _polylog_pair_complex(nu: complex, x: float) -> complex:

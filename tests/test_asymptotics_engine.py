@@ -188,6 +188,19 @@ def test_far_negative_s_refused_at_once(s):
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("build", [
+    lambda: asym.expand_h(-35.3, 0.3, 2),
+    lambda: asym.expand_f(CIRCLE, -35.3, 0.3, 2),
+    lambda: asym.expand_f(CIRCLE, -100.7, 0.3, 2),
+], ids=["h_-35.3", "f_circle_-35.3", "f_circle_-100.7"])
+def test_far_negative_s_polylog_tables_finite(build):
+    # C(2t, x) at orders 2t up to ~200, and zeta(-201.4) at beta^0
+    ex = build()
+    assert ex.terms
+    for t in ex.terms:
+        assert math.isfinite(t.const_coeff) and math.isfinite(t.log_coeff)
+
+
 def test_remainder_power_present_for_truncated_series():
     ex = asym.expand_h0(0.5, 8.0)
     assert ex.remainder_power is not None and ex.remainder_power > 8.0

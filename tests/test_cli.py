@@ -233,6 +233,14 @@ class TestExpand:
         assert out == ""
         assert err.startswith("besselsum: DomainError")
 
+    def test_far_negative_s_polylog_table_exit_0(self, capsys):
+        doc = run_json(capsys, ["expand", "--series", "h", "--s=-60.15", "--B", "0.3",
+                                "--order", "2"])
+        terms = doc["result"]["terms"]
+        assert terms
+        assert all(math.isfinite(t["const_coeff"]) and math.isfinite(t["log_coeff"])
+                   for t in terms)
+
 
 # ---------------------------------------------------------------------------
 # compare / oracle (exit 3 on tolerance failure)

@@ -6,9 +6,13 @@ arbitrary within its half-plane, so results must not depend on it.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import besselsum
 from besselsum import ConfigError, ContourConfig, DomainError, contour_h, contour_h0
 
 from util import direct_value
@@ -104,3 +108,15 @@ def test_phase_continuity_toward_half():
     at_half = contour_h(0.9, 0.5, 0.5)
     near_half = contour_h(0.9, 0.5, 0.5 - 1e-5)
     assert abs(at_half - near_half) < 1e-6
+
+
+def test_package_import_leaves_quadrature_unloaded():
+    # scipy.integrate is for the contour oracle alone; a fresh interpreter
+    # that imports the package must not pay for it
+    src = os.path.dirname(os.path.dirname(besselsum.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, besselsum; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -18,13 +18,13 @@ def _rel(got, want):
 # Hurwitz zeta
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("s", [2.3, 0.4, -0.4, -1.0, -3.7, 7.9])
+@pytest.mark.parametrize("s", [2.3, 0.4, -0.4, -1.0, -1.0000001, -3.7, 7.9])
 @pytest.mark.parametrize("a", [0.3, 0.77, 1.0])
 def test_hurwitz_zeta_matches_mpmath(s, a):
     assert _rel(sf.hurwitz_zeta(s, a), mp.zeta(s, a)) < 1e-12
 
 
-@pytest.mark.parametrize("s", [2.3, 0.4, -0.4, -1.0, -3.7, 7.9])
+@pytest.mark.parametrize("s", [2.3, 0.4, -0.4, -1.0, -1.0000001, -3.7, 7.9])
 @pytest.mark.parametrize("a", [0.3, 0.77, 1.0])
 def test_hurwitz_zeta_deriv_matches_mpmath(s, a):
     assert _rel(sf.hurwitz_zeta_deriv(s, a), mp.zeta(s, a, 1)) < 1e-12
@@ -47,6 +47,12 @@ def test_hurwitz_complex_order_on_vertical_lines(s):
 def test_riemann_zeta_matches_mpmath(s):
     assert _rel(sf.riemann_zeta(s), mp.zeta(s)) < 1e-12
     assert _rel(sf.riemann_zeta_deriv(s), mp.zeta(s, derivative=1)) < 1e-12
+
+
+@pytest.mark.parametrize("s", [-201.4, -150.3])
+def test_riemann_zeta_far_negative_matches_mpmath(s):
+    # Gamma(1 - s) in the reflection factor overflows below s = -170
+    assert _rel(sf.riemann_zeta(s), mp.zeta(s)) < 1e-12
 
 
 def test_riemann_zeta_trivial_zeros_exact():

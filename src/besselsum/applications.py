@@ -45,8 +45,8 @@ from .asymptotics import (
     expand_f0,
     expand_h0,
 )
-from .direct_eval import DEFAULT_TOL, EvalResult, sum_f
-from .errors import ConfigError, DomainError, PoleError
+from .direct_eval import _MAX_TERMS, DEFAULT_TOL, EvalResult, sum_f
+from .errors import ConfigError, ConvergenceError, DomainError, PoleError
 from .manifolds import ManifoldModel
 
 __all__ = [
@@ -148,11 +148,6 @@ class PistonConfig:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_nonpos_int(model: ManifoldModel, k: int) -> float:
-    """Exact zeta_N(-k) = (-1)^k k! A_{Q/2+k} from the heat coefficients."""
-    return ((-1.0) ** k) * math.factorial(k) * model.heat_coeff(Fraction(model.D, 2) + k)
-
-
 def _first_term_and_invgamma(
     model: ManifoldModel, s: float, shift: Fraction
 ) -> Tuple[float, float]:
@@ -179,7 +174,7 @@ def _first_term_and_invgamma(
             )
         if gamma_pole:
             ell = int(-sp_frac)
-            if _zeta_nonpos_int(model, ell) != 0.0:
+            if model.zeta_nonpos_int(ell) != 0.0:
                 raise PoleError(
                     f"gamma pole at shifted argument -{ell} with zeta_N(-{ell}) != 0: "
                     "the product zeta is singular here"
@@ -197,7 +192,7 @@ def _first_term_and_invgamma(
         return sf.gamma(float(sp_frac)) * res * ((-1.0) ** p) * math.factorial(p), 0.0
     if gamma_pole:
         ell = int(-sp_frac)
-        z0 = _zeta_nonpos_int(model, ell)
+        z0 = model.zeta_nonpos_int(ell)
         sign = -1.0 if (ell - p) % 2 else 1.0
         return sign * (math.factorial(p) / math.factorial(ell)) * z0, 0.0
     return 0.0, 0.0
@@ -497,7 +492,10 @@ def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalRes
 
     Independent single loop over n (no reuse of the h0 summation path) so it
     can serve as an oracle for the h0-based identity S(2 beta/L) =
-    (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta).
+    (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta). It stops at the direct sums'
+    rule: three terms in a row below tol * max(1, |S|) * (1 - e^{-Lm}), past
+    n* = (nu + 2)/(Lm). Masses whose reach (nu + 2 + ln(1/tol))/(Lm) passes
+    the direct sums' term budget are refused with ConvergenceError.
     """
     m, L, D = _check_mass_args(m, L, D)
     if tol is None:
@@ -507,27 +505,36 @@ def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalRes
         raise DomainError(f"tol must lie in (0, 1), got {tol}")
     nu = 0.5 * D - 1.0
     x = L * m
-    rho = math.exp(-x) if x > 1e-300 else 0.0
+    reach = (nu + 2.0 + math.log(1.0 / tol)) / x
+    if reach > _MAX_TERMS:
+        raise ConvergenceError(
+            f"mass sum needs about {reach:.3g} terms at m={m}, L={L}, over the budget "
+            f"of {_MAX_TERMS}; use the small-m expansion (mass_expansion)"
+        )
+    n_star = (nu + 2.0) / x
+    decay = -math.expm1(-x)  # far out the terms fall by e^{-x} a step
     pieces = []
     running = 0.0  # all terms are positive, so a plain running sum is a safe gate
     small = 0
     term = 0.0
     n = 0
     block = 64
-    while small < 3 and n < 10_000_000:
+    while small < 3:
+        if n >= _MAX_TERMS:
+            raise ConvergenceError(f"mass sum passed {_MAX_TERMS} terms at m={m}, L={L}")
         ns = np.arange(n + 1, n + block + 1, dtype=float)
         for term in ((m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)).tolist():
             n += 1
             pieces.append(term)
             running += term
-            if abs(term) < tol * max(1.0, abs(running)):
+            if n >= n_star and abs(term) < tol * max(1.0, abs(running)) * decay:
                 small += 1
                 if small >= 3:
                     break
             else:
                 small = 0
         block = min(2 * block, 4096)
-    err = 2.0 * abs(term) * rho / (1.0 - rho) if rho < 1.0 else abs(term)
+    err = 2.0 * abs(term) * math.exp(-x) / decay
     return EvalResult(math.fsum(pieces), err, n, "mass_sum")
 
 

@@ -23,7 +23,8 @@ neighbouring group, or with more than two coincident poles, raises PoleError,
 and one that needs a Gamma residue 1/j! with j > 170 raises DomainError. The
 groups up to order are all reached, so they are checked before any residue.
 Special parameter values (integer or half-integer order s) are snapped to
-exact rationals so pole collisions are detected exactly. Orders above
+the exact binary half-integer, so every pole lies on a half-integer that a
+double holds exactly and coincident poles group exactly. Orders above
 MAX_ORDER are refused with DomainError; the coefficients overflow double
 precision not far past it.
 
@@ -45,13 +46,13 @@ terminate many of the ladders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from . import specfun as sf
 from .errors import DomainError, PoleError, WindowError
-from .manifolds import ManifoldModel, TorusModel, torus_model
+from .manifolds import ManifoldModel, torus_model
 
 __all__ = [
     "ExpansionTerm",
@@ -156,12 +157,8 @@ def _snap_half(s: float) -> Optional[Fraction]:
     return None
 
 
-def _as_nonpos_int(t) -> Optional[int]:
-    """Return j >= 0 when t == -j (exactly for Fractions, snapped for floats)."""
-    if isinstance(t, Fraction):
-        if t.denominator == 1 and t <= 0:
-            return -int(t)
-        return None
+def _as_nonpos_int(t: float) -> Optional[int]:
+    """Return j >= 0 when t is within 1e-9 of -j."""
     r = round(t)
     if abs(t - r) < 1e-9 and r <= 0:
         return -int(r)
@@ -193,14 +190,14 @@ class _Factor:
 class _GammaFactor(_Factor):
     """Gamma(t + shift); shift is 0 or the series order s."""
 
-    def __init__(self, shift):
+    def __init__(self, shift: float):
         self.shift = shift
 
     def poles(self, t_min: float) -> list:
         out = []
-        j_max = int(math.floor(-float(self.shift) - t_min + 1e-9))
+        j_max = int(math.floor(-self.shift - t_min + 1e-9))
         for j in range(0, min(j_max, _MAX_FACTORIAL + 1) + 1):
-            t0 = -self.shift - j if isinstance(self.shift, Fraction) else -float(self.shift) - j
+            t0 = -self.shift - j
             if j > _MAX_FACTORIAL:
                 # The walk meets this pole before any later one, and refuses it.
                 out.append((t0, None, None))
@@ -211,10 +208,10 @@ class _GammaFactor(_Factor):
         return out
 
     def value(self, t) -> float:
-        return sf.gamma(float(t + self.shift))
+        return sf.gamma(t + self.shift)
 
     def dvalue(self, t) -> float:
-        u = float(t + self.shift)
+        u = t + self.shift
         return sf.gamma(u) * sf.digamma(u)
 
 
@@ -223,14 +220,14 @@ class _RiemannZeta2tFactor(_Factor):
 
     def poles(self, t_min: float) -> list:
         if 0.5 >= t_min:
-            return [(Fraction(1, 2), 0.5, (lambda: sf.EULER_GAMMA))]
+            return [(0.5, 0.5, (lambda: sf.EULER_GAMMA))]
         return []
 
     def value(self, t) -> float:
-        return sf.riemann_zeta(2.0 * float(t))
+        return sf.riemann_zeta(2.0 * t)
 
     def dvalue(self, t) -> float:
-        return 2.0 * sf.riemann_zeta_deriv(2.0 * float(t))
+        return 2.0 * sf.riemann_zeta_deriv(2.0 * t)
 
     def exact_zero(self, t) -> bool:
         j = _as_nonpos_int(t)
@@ -244,10 +241,10 @@ class _PolylogPairFactor(_Factor):
         self.x = x
 
     def value(self, t) -> float:
-        return sf.polylog_pair(2.0 * float(t), self.x)
+        return sf.polylog_pair(2.0 * t, self.x)
 
     def dvalue(self, t) -> float:
-        return 2.0 * sf.polylog_pair_deriv(2.0 * float(t), self.x)
+        return 2.0 * sf.polylog_pair_deriv(2.0 * t, self.x)
 
     def exact_zero(self, t) -> bool:
         j = _as_nonpos_int(t)
@@ -258,39 +255,35 @@ class _ModelZetaFactor(_Factor):
     """zeta_M(s + t) of a spectral model, with exact heat-kernel values at
     non-positive integer arguments: zeta_M(-j) = (-1)^j j! A_{D/2 + j}."""
 
-    def __init__(self, model: ManifoldModel, s):
+    def __init__(self, model: ManifoldModel, s: float):
         self.model = model
         self.s = s
 
     def poles(self, t_min: float) -> list:
         out = []
-        for u0 in self.model.zeta_poles():
-            t0 = u0 - self.s if isinstance(self.s, Fraction) else float(u0) - float(self.s)
-            if float(t0) >= t_min:
-                res = self.model.zeta_res(float(u0))
-                out.append((t0, res, (lambda u=float(u0): self.model.zeta_fp(u))))
+        for u0 in map(float, self.model.zeta_poles()):
+            t0 = u0 - self.s
+            if t0 >= t_min:
+                res = self.model.zeta_res(u0)
+                out.append((t0, res, (lambda u=u0: self.model.zeta_fp(u))))
         return out
-
-    def _heat_value(self, j: int) -> float:
-        a = self.model.heat_coeff(Fraction(self.model.D, 2) + j)
-        return (-1.0) ** j * math.factorial(j) * a
 
     def value(self, t) -> float:
         u = t + self.s
         j = _as_nonpos_int(u)
         if j is not None:
-            return self._heat_value(j)
-        return self.model.zeta(float(u))
+            return self.model.zeta_nonpos_int(j)
+        return self.model.zeta(u)
 
     def dvalue(self, t) -> float:
-        return self.model.zeta_deriv(float(t + self.s))
+        return self.model.zeta_deriv(t + self.s)
 
     def exact_zero(self, t) -> bool:
         j = _as_nonpos_int(t + self.s)
         if j is None:
             return False
         try:
-            return self._heat_value(j) == 0.0
+            return self.model.zeta_nonpos_int(j) == 0.0
         except WindowError:
             return False
 
@@ -299,23 +292,21 @@ class _ModelZetaFactor(_Factor):
 # Engine: enumerate poles once, group them, walk the groups
 # ---------------------------------------------------------------------------
 
-def _group_poles(factors, t_min: float, exact: bool) -> list:
+def _group_poles(factors, t_min: float) -> list:
     """Group the poles with t0 >= t_min by location, in ascending beta power.
 
-    Returns [(loc, t0, [(fi, res, fp)...])], where loc is the group's float
-    location (rounded to the _GRID lattice unless exact).
+    Returns [(loc, t0, [(fi, res, fp)...])], where loc is the group's
+    location rounded to the _GRID lattice.
     """
     groups: dict = {}
     for fi, fac in enumerate(factors):
         for (t0, res, fp) in fac.poles(t_min):
-            key = t0 if exact else round(float(t0) / _GRID)
-            groups.setdefault(key, []).append((t0, fi, res, fp))
+            groups.setdefault(round(t0 / _GRID), []).append((t0, fi, res, fp))
     out = [
-        (float(key if exact else key * _GRID), plist[0][0],
-         [(fi, res, fp) for (_, fi, res, fp) in plist])
+        (key * _GRID, plist[0][0], [(fi, res, fp) for (_, fi, res, fp) in plist])
         for key, plist in groups.items()
     ]
-    out.sort(key=lambda g: -float(g[1]))  # ascending beta-power
+    out.sort(key=lambda g: -g[1])  # ascending beta-power
     return out
 
 
@@ -381,27 +372,36 @@ def _residue_term(factors, norm: float, t0, plist):
     return (const, logc)
 
 
-def _assemble(factors, norm: float, order: float, exact: bool):
-    """One walk over the pole groups: (terms up to beta^order, remainder_power)."""
-    groups = _group_poles(factors, -(order + _REACH) / 2.0, exact)
-    n_terms = sum(1 for (_, t0, _) in groups if -2.0 * float(t0) <= order + 1e-12)
+def _assemble(factors, norm: float, order: float):
+    """One walk over the pole groups: (terms up to beta^order, remainder_power).
+
+    A term whose coefficient leaves double range raises DomainError. Past
+    order, a residue that cannot be evaluated counts as nonzero.
+    """
+    groups = _group_poles(factors, -(order + _REACH) / 2.0)
+    n_terms = sum(1 for (_, t0, _) in groups if -2.0 * t0 <= order + 1e-12)
     for i in range(n_terms):  # the walk reaches all of these: refuse before any residue
         _check_group(groups, i)
     terms = []
     for (_, t0, plist) in groups[:n_terms]:
         coeffs = _residue_term(factors, norm, t0, plist)
-        if coeffs is not None:
-            terms.append(ExpansionTerm(-2.0 * float(t0), *coeffs))
+        if coeffs is None:
+            continue
+        if not all(map(math.isfinite, coeffs)):
+            raise DomainError(
+                f"the beta^{-2.0 * t0:g} coefficient leaves double range; "
+                "s is too far below zero"
+            )
+        terms.append(ExpansionTerm(-2.0 * t0, *coeffs))
     for i in range(n_terms, len(groups)):
         _check_group(groups, i)
         _, t0, plist = groups[i]
-        power = -2.0 * float(t0)
         try:
             if _residue_term(factors, norm, t0, plist) is None:
                 continue
-        except WindowError:
-            pass  # unknown, generically nonzero
-        return tuple(terms), power
+        except (WindowError, DomainError):
+            pass  # unknown or past double range, generically nonzero
+        return tuple(terms), -2.0 * t0
     return tuple(terms), None
 
 
@@ -474,13 +474,13 @@ def _expand(family: str, s: float, order: float, norm: float, params: dict,
         )
     sh = _snap_half(s)
     tag = dispatch_case(family, s, None if model is None else model.D)
-    s_sym = sh if sh is not None else float(s)
-    factors = [_GammaFactor(Fraction(0) if sh is not None else 0.0), _GammaFactor(s_sym)]
+    s_sym = float(sh if sh is not None else s)
+    factors = [_GammaFactor(0.0), _GammaFactor(s_sym)]
     if model is not None:
         factors.append(_ModelZetaFactor(model, s_sym))
     if last is not None:
         factors.append(last)
-    terms, remainder = _assemble(factors, norm, order, sh is not None)
+    terms, remainder = _assemble(factors, norm, order)
     return Expansion(
         family=family,
         case_tag=tag,

@@ -4,11 +4,16 @@ A model packages the three faces of a compact factor's spectrum that the rest
 of the package needs:
 
 * the spectral zeta function zeta_M(s) = sum_n mult_n * alpha_n^(-2s),
-  with its poles (residues/finite parts) and s-derivative;
+  with its finite parts and s-derivative;
 * the small-t heat-kernel coefficients A_j in
   sum_n mult_n e^{-t alpha_n^2} ~ sum_j A_j t^{(j*2 - D)/2 ...} (indexed by
   half-integers j, leading term A_0 t^{-D/2});
 * the raw eigenvalue stream (alpha_n, mult_n) in increasing order.
+
+The base class derives the rest of the pole data from the heat
+coefficients, in one place for every model: the poles of zeta_M at
+u0 = D/2 - j, their residues A_j / Gamma(u0), and the exact values
+zeta_M(-j) = (-1)^j j! A_{D/2+j}.
 
 Built-ins: the circle of circumference 2*pi (alpha_n = n) and the flat torus
 (Z^d lattice, alpha = |n|). TableModel wraps a finite user-supplied spectrum
@@ -41,10 +46,6 @@ class ManifoldModel:
 
     D: int
     name: str
-    #: True when every heat coefficient outside heat_support() is exactly zero
-    #: (closed-form models); False when coefficients beyond the supplied window
-    #: are simply unknown (table models).
-    heat_is_complete: bool = False
 
     # --- heat kernel ---
     def heat_coeff(self, j) -> float:
@@ -60,12 +61,26 @@ class ManifoldModel:
         raise NotImplementedError
 
     def zeta_poles(self) -> tuple:
-        """Pole locations of zeta_M as Fractions."""
-        raise NotImplementedError
+        """Pole locations of zeta_M as Fractions: u0 = D/2 - j for each nonzero
+        A_j, except where 1/Gamma(u0) vanishes (u0 = 0, -1, -2, ...)."""
+        out = []
+        for j in self.heat_support():
+            u0 = Fraction(self.D, 2) - j
+            if (u0.denominator == 1 and u0 <= 0) or self.heat_coeff(j) == 0.0:
+                continue
+            out.append(u0)
+        return tuple(out)
 
     def zeta_res(self, s0: float) -> float:
-        """Residue at s0 (0.0 where regular)."""
-        raise NotImplementedError
+        """Residue at s0, A_{D/2-u0} / Gamma(u0) at a pole u0 (0.0 where regular)."""
+        for u0 in self.zeta_poles():
+            if abs(s0 - float(u0)) < 1e-12:
+                return self.heat_coeff(Fraction(self.D, 2) - u0) / sf.gamma(float(u0))
+        return 0.0
+
+    def zeta_nonpos_int(self, j: int) -> float:
+        """Exact zeta_M(-j) = (-1)^j j! A_{D/2+j} for an integer j >= 0."""
+        return (-1.0) ** j * math.factorial(j) * self.heat_coeff(Fraction(self.D, 2) + j)
 
     def zeta_fp(self, s0: float) -> float:
         """Finite part at a pole; plain value where regular."""
@@ -95,7 +110,6 @@ class CircleModel(ManifoldModel):
 
     D = 1
     name = "circle"
-    heat_is_complete = True
 
     _heat = {Fraction(0): math.sqrt(math.pi) / 2.0, Fraction(1, 2): -0.5}
 
@@ -107,12 +121,6 @@ class CircleModel(ManifoldModel):
 
     def zeta(self, s: float) -> float:
         return sf.riemann_zeta(2.0 * s)
-
-    def zeta_poles(self) -> tuple:
-        return (Fraction(1, 2),)
-
-    def zeta_res(self, s0: float) -> float:
-        return 0.5 if abs(s0 - 0.5) < 1e-12 else 0.0
 
     def zeta_fp(self, s0: float) -> float:
         if abs(s0 - 0.5) < 1e-12:
@@ -132,8 +140,6 @@ class CircleModel(ManifoldModel):
 
 class TorusModel(ManifoldModel):
     """Flat torus on the Z^d lattice: alpha = |n|, zeta_M = Epstein zeta of Z^d."""
-
-    heat_is_complete = True
 
     def __init__(self, d: int):
         if d != int(d) or int(d) < 1:
@@ -157,14 +163,6 @@ class TorusModel(ManifoldModel):
     def zeta(self, s: float) -> float:
         return sf.epstein_zeta(self.ctx, s)
 
-    def zeta_poles(self) -> tuple:
-        return (Fraction(self.d, 2),)
-
-    def zeta_res(self, s0: float) -> float:
-        if abs(s0 - self.d / 2.0) < 1e-12:
-            return sf.epstein_res_fp(self.ctx).residue
-        return 0.0
-
     def zeta_fp(self, s0: float) -> float:
         if abs(s0 - self.d / 2.0) < 1e-12:
             return sf.epstein_res_fp(self.ctx).finite_part
@@ -187,9 +185,8 @@ class TableModel(ManifoldModel):
 
     The spectral zeta is only evaluated inside its direct-sum convergence
     window 2s > D; anything requiring analytic continuation raises
-    WindowError instead of silently extrapolating. Pole data is reconstructed
-    from the supplied heat coefficients (residue at (D-k)/2 is
-    A_{k/2} / Gamma((D-k)/2)).
+    WindowError instead of silently extrapolating. Its pole data comes from
+    the supplied heat coefficients, as for every model.
     """
 
     def __init__(self, D: int, alphas, mults, heat: dict):
@@ -225,24 +222,6 @@ class TableModel(ManifoldModel):
                 f"table-model zeta needs 2s > D for direct-sum convergence (s={s}, D={self.D})"
             )
         return math.fsum(m * a ** (-2.0 * s) for a, m in zip(self._alphas, self._mults))
-
-    def zeta_poles(self) -> tuple:
-        out = []
-        for j, val in sorted(self._heat.items()):
-            if val == 0.0:
-                continue
-            u0 = Fraction(self.D, 2) - j  # j = k/2 -> u0 = (D-k)/2
-            if u0.denominator == 1 and u0 <= 0:
-                continue
-            out.append(u0)
-        return tuple(out)
-
-    def zeta_res(self, s0: float) -> float:
-        for u0 in self.zeta_poles():
-            if abs(s0 - float(u0)) < 1e-12:
-                j = Fraction(self.D, 2) - u0
-                return self._heat[j] / sf.gamma(float(u0))
-        return 0.0
 
     def zeta_fp(self, s0: float) -> float:
         if 2.0 * s0 > self.D:

@@ -1,12 +1,15 @@
 """Scalar special functions used throughout the package.
 
 Everything here is real-analytic plumbing: gamma-family wrappers with explicit
-pole checks, Bernoulli machinery, the modified Bessel K (scipy's AMOS kv),
-Riemann zeta values from scipy, a Hurwitz zeta built on Euler-Maclaurin
-summation (with analytic s-derivatives), the symmetric polylogarithm pair
+pole checks, the modified Bessel K (scipy's AMOS kv), Riemann zeta values from
+scipy, a Hurwitz zeta built on Euler-Maclaurin summation (with analytic
+s-derivatives), the symmetric polylogarithm pair
 C(nu, x) = Li_nu(e^{2*pi*i*x}) + Li_nu(e^{-2*pi*i*x}) continued to all real
 orders, and the Epstein zeta function of the integer lattice in d dimensions
-via its completed (incomplete-gamma) representation.
+via its completed (incomplete-gamma) representation. The Hurwitz zeta and the
+polylogarithm pair each compute value and derivative in one routine
+(_hurwitz, _pair), which refuses results outside double range with
+DomainError.
 
 The polylogarithm pair has two routes split at nu = -1/2: above it the
 Taylor series of Li_nu(e^w) about w = 0, below it the Hurwitz reflection.
@@ -40,7 +43,6 @@ __all__ = [
     "gamma_complex",
     "digamma",
     "harmonic",
-    "bernoulli_poly",
     "bessel_k",
     "bessel_k_many",
     "hurwitz_zeta",
@@ -119,7 +121,7 @@ def harmonic(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers / polynomials (exact rationals)
+# Bernoulli numbers (exact rationals)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -132,20 +134,6 @@ def _bernoulli_numbers(n: int) -> tuple:
             acc += Fraction(math.comb(m + 1, j)) * out[j]
         out.append(-acc / (m + 1))
     return tuple(out)
-
-
-def bernoulli_poly(n: int, x: float) -> float:
-    """Bernoulli polynomial B_n(x), exact rational coefficients, float result."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"Bernoulli order must be a nonnegative integer, got {n}")
-    n = int(n)
-    bern = _bernoulli_numbers(n)
-    # B_n(x) = sum_k C(n,k) B_{n-k} x^k; Horner in x with exact coefficients.
-    coeffs = [Fraction(math.comb(n, k)) * bern[n - k] for k in range(n, -1, -1)]
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + float(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +254,8 @@ def _hurwitz_em(s, a: float, want_deriv: bool = False, pole_subtracted: bool = F
     return val
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta zeta(s, a) = sum_{k>=0} (k+a)^-s, continued in s.
-
-    Requires a > 0; raises PoleError at s = 1. For s <= -1/2 the
-    Euler-Maclaurin form loses digits to cancellation, so the reflection
-    formula in terms of the cosine/sine polylogarithm pairs is used instead
-    (a <= 1 there; larger a is reduced by the forward recurrence).
-    """
+def _hurwitz(s: float, a: float, want_deriv: bool) -> float:
+    """zeta(s, a), or d/ds zeta(s, a) when want_deriv (see hurwitz_zeta)."""
     if not (a > 0.0):
         raise DomainError(f"hurwitz_zeta requires a > 0, got a={a}")
     if abs(s - 1.0) < _INT_SNAP:
@@ -281,16 +263,39 @@ def hurwitz_zeta(s: float, a: float) -> float:
     s = float(s)
     a = float(a)
     if s > -0.5:
-        return float(_hurwitz_em(s, a))
-    shift = 0.0
-    while a > 1.0:  # zeta(s, a) = zeta(s, a-1) - (a-1)^-s
-        a -= 1.0
-        shift -= a ** (-s)
-    return shift + _hurwitz_reflect(s, a)
+        got = _hurwitz_em(s, a, want_deriv)
+        val = float(got[1] if want_deriv else got)
+    else:
+        shift = 0.0
+        while a > 1.0:  # zeta(s, a) = zeta(s, a-1) - (a-1)^-s, and its s-derivative
+            a -= 1.0
+            shift += (math.log(a) if want_deriv else -1.0) * a ** (-s)
+        val = shift + _hurwitz_reflect(s, a, want_deriv)
+    if not math.isfinite(val):
+        what = "d/ds zeta(s, a)" if want_deriv else "zeta(s, a)"
+        raise DomainError(f"{what} at s={s}, a={a} leaves double range")
+    return val
 
 
-def _hurwitz_reflect(s: float, a: float, want_deriv: bool = False):
-    """zeta(s, a) for s <= -1/2, 0 < a <= 1, via the reflection formula.
+def hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta zeta(s, a) = sum_{k>=0} (k+a)^-s, continued in s.
+
+    Requires a > 0; raises PoleError at s = 1, and DomainError where the
+    value leaves double range. For s <= -1/2 the Euler-Maclaurin form loses
+    digits to cancellation, so the reflection formula in terms of the
+    cosine/sine polylogarithm pairs is used instead (a <= 1 there; larger a
+    is reduced by the forward recurrence).
+    """
+    return _hurwitz(s, a, False)
+
+
+def hurwitz_zeta_deriv(s: float, a: float) -> float:
+    """d/ds zeta(s, a) under the same domain rules as hurwitz_zeta."""
+    return _hurwitz(s, a, True)
+
+
+def _hurwitz_reflect(s: float, a: float, want_deriv: bool) -> float:
+    """zeta(s, a), or its s-derivative, for s <= -1/2, 0 < a <= 1, by reflection.
 
     zeta(1-nu, a) = Gamma(nu) (2 pi)^-nu [cos(pi nu/2) C(nu,a) + sin(pi nu/2) S(nu,a)]
     where C and S are the cosine and sine pairs of order nu = 1 - s >= 3/2,
@@ -298,15 +303,13 @@ def _hurwitz_reflect(s: float, a: float, want_deriv: bool = False):
     2 Re[e^{-i pi nu/2} L]; L comes from the series route _li_series.
     """
     if a == 1.0:
-        if want_deriv:
-            return riemann_zeta(s), riemann_zeta_deriv(s)
-        return riemann_zeta(s)
+        return riemann_zeta_deriv(s) if want_deriv else riemann_zeta(s)
     if a == 0.5:
         # zeta(s, 1/2) = (2^s - 1) zeta(s)
         t = 2.0 ** s
         z = riemann_zeta(s)
         if want_deriv:
-            return (t - 1.0) * z, math.log(2.0) * t * z + (t - 1.0) * riemann_zeta_deriv(s)
+            return math.log(2.0) * t * z + (t - 1.0) * riemann_zeta_deriv(s)
         return (t - 1.0) * z
     nu = 1.0 - s
     F = float(_sp.gamma(nu)) * (2.0 * math.pi) ** (-nu)
@@ -320,27 +323,7 @@ def _hurwitz_reflect(s: float, a: float, want_deriv: bool = False):
         return F * G
     dF = F * (float(_sp.digamma(nu)) - math.log(2.0 * math.pi))
     dG = 2.0 * (phase * (dli - 0.5j * math.pi * li)).real
-    # d/ds = -d/dnu
-    return F * G, -(dF * G + F * dG)
-
-
-def hurwitz_zeta_deriv(s: float, a: float) -> float:
-    """d/ds zeta(s, a) under the same domain rules as hurwitz_zeta."""
-    if not (a > 0.0):
-        raise DomainError(f"hurwitz_zeta requires a > 0, got a={a}")
-    if abs(s - 1.0) < _INT_SNAP:
-        raise PoleError("hurwitz_zeta pole at s=1")
-    s = float(s)
-    a = float(a)
-    if s > -0.5:
-        _, d = _hurwitz_em(s, a, want_deriv=True)
-        return float(d)
-    shift = 0.0
-    while a > 1.0:  # d/ds of -(a-1)^-s is ln(a-1) (a-1)^-s
-        a -= 1.0
-        shift += math.log(a) * a ** (-s)
-    _, d = _hurwitz_reflect(s, a, want_deriv=True)
-    return shift + d
+    return -(dF * G + F * dG)  # d/ds = -d/dnu
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +344,6 @@ def _cospi(x: float) -> float:
     return -c if (m % 2) else c
 
 
-def _chi(s: float) -> float:
-    """Reflection factor: zeta(s) = chi(s) * zeta(1-s)."""
-    return (2.0 ** s) * math.pi ** (s - 1.0) * _sinpi(s / 2.0) * float(_sp.gamma(1.0 - s))
-
-
-def _chi_deriv(s: float) -> float:
-    g = float(_sp.gamma(1.0 - s))
-    ln2pi = math.log(2.0 * math.pi)
-    psi = float(_sp.digamma(1.0 - s))
-    return (2.0 ** s) * math.pi ** (s - 1.0) * g * (
-        (ln2pi - psi) * _sinpi(s / 2.0) + (math.pi / 2.0) * _cospi(s / 2.0)
-    )
-
-
 def riemann_zeta(s: float) -> float:
     """Riemann zeta on the real line (PoleError at s=1; exact 0 at -2, -4, ...).
 
@@ -392,18 +361,29 @@ def riemann_zeta(s: float) -> float:
 
 @lru_cache(maxsize=8192)
 def riemann_zeta_deriv(s: float) -> float:
-    """d/ds zeta(s) on the real line (PoleError at s=1)."""
+    """d/ds zeta(s) on the real line (PoleError at s=1).
+
+    For s <= -1/2, from the reflection zeta(s) = chi(s) zeta(1-s) with
+    chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
+    """
     s = float(s)
     if abs(s - 1.0) < _INT_SNAP:
         raise PoleError("riemann_zeta pole at s=1")
-    if s <= -0.5:
-        n = _near_int(s)
-        if n is not None and n <= -2 and n % 2 == 0:
-            # chi vanishes exactly; only chi' survives.
-            return _chi_deriv(s) * riemann_zeta(1.0 - s)
-        return _chi_deriv(s) * riemann_zeta(1.0 - s) - _chi(s) * riemann_zeta_deriv(1.0 - s)
-    _, d = _hurwitz_em(s, 1.0, want_deriv=True)
-    return float(d)
+    if s > -0.5:
+        _, d = _hurwitz_em(s, 1.0, want_deriv=True)
+        return float(d)
+    p = (2.0 ** s) * math.pi ** (s - 1.0)
+    g = float(_sp.gamma(1.0 - s))
+    sin = _sinpi(s / 2.0)
+    dchi = p * g * (
+        (math.log(2.0 * math.pi) - float(_sp.digamma(1.0 - s))) * sin
+        + (math.pi / 2.0) * _cospi(s / 2.0)
+    )
+    n = _near_int(s)
+    if n is not None and n <= -2 and n % 2 == 0:
+        # chi vanishes exactly; only chi' survives.
+        return dchi * riemann_zeta(1.0 - s)
+    return dchi * riemann_zeta(1.0 - s) - p * sin * g * riemann_zeta_deriv(1.0 - s)
 
 
 def _riemann_zeta_complex(z: complex) -> complex:
@@ -494,14 +474,52 @@ def _li_series(nu: float, x: float, want_deriv: bool = False):
     return val
 
 
-def _pp_hurwitz(nu: float, x: float) -> float:
-    """Reflection route, for nu <= -1/2."""
+def _pp_hurwitz(nu: float, x: float, want_deriv: bool) -> float:
+    """Reflection route, for nu <= -1/2 (off the even integers): C, or dC/dnu."""
     pref = (2.0 * math.pi) ** nu * float(_sp.gamma(1.0 - nu)) * _sinpi(nu / 2.0) / math.pi
-    ssum = float(_hurwitz_em(1.0 - nu, x)) + float(_hurwitz_em(1.0 - nu, 1.0 - x))
-    return pref * ssum
+    s = 1.0 - nu
+    za = _hurwitz_em(s, x, want_deriv)
+    zb = _hurwitz_em(s, 1.0 - x, want_deriv)
+    if not want_deriv:
+        return pref * (float(za) + float(zb))
+    (za, da), (zb, db) = za, zb
+    dpref = pref * (
+        math.log(2.0 * math.pi)
+        - float(_sp.digamma(1.0 - nu))
+        + (math.pi / 2.0) * (_cospi(nu / 2.0) / _sinpi(nu / 2.0))
+    )
+    return dpref * float(za + zb) - pref * float(da + db)  # d s / d nu = -1
 
 
-_pp_cache: dict = {}
+def _pair(nu: float, x: float, want_deriv: bool) -> float:
+    """C(nu, x), or d/dnu C(nu, x) when want_deriv (see polylog_pair)."""
+    nu = float(nu)
+    x = float(x)
+    if not (0.0 < x < 1.0):
+        raise DomainError(f"polylog_pair requires x in (0,1), got x={x}")
+    n = _near_int(nu)
+    if n is not None and n <= 0 and n % 2 == 0:
+        if not want_deriv:
+            val = -1.0 if n == 0 else 0.0
+        elif n == 0:
+            # C'(0,x) = -(psi(x)+psi(1-x))/2 - ln(2 pi) - gamma
+            val = -(0.5 * (float(_sp.digamma(x)) + float(_sp.digamma(1.0 - x)))
+                    + math.log(2.0 * math.pi) + EULER_GAMMA)
+        else:
+            # C'(-2m, x) = (-1)^m (2m)! / (2 (2 pi)^{2m}) * [zeta(2m+1,x)+zeta(2m+1,1-x)]
+            m = -n // 2
+            val = ((-1.0) ** m) * math.factorial(2 * m) / (2.0 * (2.0 * math.pi) ** (2 * m)) * (
+                hurwitz_zeta(2 * m + 1.0, x) + hurwitz_zeta(2 * m + 1.0, 1.0 - x)
+            )
+    elif nu <= -0.5:
+        val = _pp_hurwitz(nu, x, want_deriv)
+    else:
+        got = _li_series(nu, min(x, 1.0 - x), want_deriv)
+        val = 2.0 * (got[1] if want_deriv else got).real
+    if not math.isfinite(val):
+        what = "d/dnu C(nu, x)" if want_deriv else "C(nu, x)"
+        raise DomainError(f"{what} at nu={nu}, x={x} leaves double range")
+    return val
 
 
 def polylog_pair(nu: float, x: float) -> float:
@@ -514,67 +532,14 @@ def polylog_pair(nu: float, x: float) -> float:
     split). At or below it, the Hurwitz reflection
     C = (2 pi)^nu Gamma(1-nu) sin(pi nu/2) [zeta(1-nu,x) + zeta(1-nu,1-x)] / pi.
     Exact branches: C(0, x) = -1, and C at negative even integer order is 0.
+    Values outside double range raise DomainError.
     """
-    nu = float(nu)
-    x = float(x)
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"polylog_pair requires x in (0,1), got x={x}")
-    key = (nu, x)
-    hit = _pp_cache.get(key)
-    if hit is not None:
-        return hit
-    val = _polylog_pair_impl(nu, x)
-    if len(_pp_cache) > 65536:
-        _pp_cache.clear()
-    _pp_cache[key] = val
-    return val
-
-
-def _polylog_pair_impl(nu: float, x: float) -> float:
-    n = _near_int(nu)
-    if n is not None and n <= 0 and n % 2 == 0:
-        return -1.0 if n == 0 else 0.0
-    if nu <= -0.5:
-        return _pp_hurwitz(nu, x)
-    return 2.0 * _li_series(nu, min(x, 1.0 - x)).real
-
-
-def _pp_hurwitz_deriv(nu: float, x: float) -> float:
-    """d/dnu of the reflection route (nu <= -1/2, off the even integers)."""
-    pref = (2.0 * math.pi) ** nu * float(_sp.gamma(1.0 - nu)) * _sinpi(nu / 2.0) / math.pi
-    s = 1.0 - nu
-    za, da = _hurwitz_em(s, x, want_deriv=True)
-    zb, db = _hurwitz_em(s, 1.0 - x, want_deriv=True)
-    ssum = float(za + zb)
-    dsum = -float(da + db)  # chain rule: d s / d nu = -1
-    dpref = pref * (
-        math.log(2.0 * math.pi)
-        - float(_sp.digamma(1.0 - nu))
-        + (math.pi / 2.0) * (_cospi(nu / 2.0) / _sinpi(nu / 2.0))
-    )
-    return dpref * ssum + pref * dsum
+    return _pair(nu, x, False)
 
 
 def polylog_pair_deriv(nu: float, x: float) -> float:
     """d/dnu C(nu, x), by the same routes and exact branches as polylog_pair."""
-    nu = float(nu)
-    x = float(x)
-    if not (0.0 < x < 1.0):
-        raise DomainError(f"polylog_pair requires x in (0,1), got x={x}")
-    n = _near_int(nu)
-    if n is not None and n == 0:
-        # C'(0,x) = -(psi(x)+psi(1-x))/2 - ln(2 pi) - gamma
-        return -(0.5 * (float(_sp.digamma(x)) + float(_sp.digamma(1.0 - x)))
-                 + math.log(2.0 * math.pi) + EULER_GAMMA)
-    if n is not None and n < 0 and n % 2 == 0:
-        # C'(-2m, x) = (-1)^m (2m)! / (2 (2 pi)^{2m}) * [zeta(2m+1,x)+zeta(2m+1,1-x)]
-        m = -n // 2
-        return ((-1.0) ** m) * math.factorial(2 * m) / (2.0 * (2.0 * math.pi) ** (2 * m)) * (
-            hurwitz_zeta(2 * m + 1.0, x) + hurwitz_zeta(2 * m + 1.0, 1.0 - x)
-        )
-    if nu <= -0.5:
-        return _pp_hurwitz_deriv(nu, x)
-    return 2.0 * _li_series(nu, min(x, 1.0 - x), want_deriv=True)[1].real
+    return _pair(nu, x, True)
 
 
 def _polylog_pair_complex(nu: complex, x: float) -> complex:

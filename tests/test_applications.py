@@ -7,6 +7,7 @@ eps-limits around singular parameter values.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from besselsum import applications as ap
 from besselsum import asymptotics as asy
 from besselsum import direct_eval as de
 from besselsum import specfun as sf
-from besselsum.errors import ConfigError, PoleError
+from besselsum.errors import ConfigError, ConvergenceError, PoleError
 from besselsum.manifolds import CircleModel, TableModel, circle_model, torus_model
 
 CIRCLE = circle_model()
@@ -369,6 +370,21 @@ class TestMassSeries:
         got = ap.mass_sum(2.0 * 0.4 / 2.5, 2.5, 4, tol=1e-14).value
         want = (2.0 / 2.5 ** 2) * 0.4 ** 2 * de.sum_h0(-1.0, 0.4, tol=1e-14).value
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+    def test_small_mass_within_tolerance(self):
+        # the terms fall like 1/n^2 until n ~ 1/(mL): stopping at the first
+        # small terms would miss the tail by far more than tol
+        m, L = 1e-4, 1.0
+        got = ap.mass_sum(m, L, 4).value
+        want = ap.mass_expansion(m, L, 4, 12.0).evaluate(m)
+        assert abs(got - want) < 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("m", [1e-6, 1e-9])
+    def test_mass_past_the_term_budget_refused_at_once(self, m):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="mass_expansion"):
+            ap.mass_sum(m, 1.0, 4)
+        assert time.perf_counter() - start < 0.1
 
     def test_expansion_matches_direct_D4(self):
         m, L = 0.2, 1.0

@@ -201,6 +201,25 @@ def test_far_negative_s_polylog_tables_finite(build):
         assert math.isfinite(t.const_coeff) and math.isfinite(t.log_coeff)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: asym.expand_f(CIRCLE, -140.3, 0.3, 2),
+    lambda: asym.expand_f0(CIRCLE, -140.3, 2),
+    lambda: asym.expand_g(2, -130.1, 2),
+], ids=["f_circle_-140.3", "f0_circle_-140.3", "g2_-130.1"])
+def test_far_negative_s_coefficient_past_double_range_refused(build):
+    # zeta(2s) and the Epstein zeta pass 1.8e308 at the beta^0 or beta^-1 term
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_far_negative_s_unevaluable_group_past_order_is_the_remainder():
+    # below the first non-finite group the table stands, and that group,
+    # which cannot be evaluated, gives the remainder power
+    ex = asym.expand_f(CIRCLE, -140.3, 0.3, -1.0)
+    assert [t.power for t in ex.terms] == pytest.approx([-281.6, -280.6])
+    assert ex.remainder_power == 0.0
+
+
 def test_remainder_power_present_for_truncated_series():
     ex = asym.expand_h0(0.5, 8.0)
     assert ex.remainder_power is not None and ex.remainder_power > 8.0

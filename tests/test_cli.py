@@ -241,6 +241,14 @@ class TestExpand:
         assert all(math.isfinite(t["const_coeff"]) and math.isfinite(t["log_coeff"])
                    for t in terms)
 
+    def test_coefficient_past_double_range_exit_2(self, capsys):
+        # zeta(2s) passes 1.8e308 at the beta^0 term of the circle table
+        code, out, err = run_cli(capsys, ["expand", "--series", "f", "--model", "circle",
+                                          "--s=-140.3", "--B", "0.3", "--order", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("besselsum: DomainError")
+
 
 # ---------------------------------------------------------------------------
 # compare / oracle (exit 3 on tolerance failure)
@@ -382,6 +390,12 @@ class TestMass:
     def test_domain_error(self, capsys):
         code, _, _ = run_cli(capsys, ["mass", "--m", "-0.2", "--L", "1.0", "--D", "4"])
         assert code == 2
+
+    def test_mass_past_the_term_budget_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["mass", "--m", "1e-9", "--L", "1", "--D", "4"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("besselsum: ConvergenceError")
 
 
 # ---------------------------------------------------------------------------

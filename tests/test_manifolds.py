@@ -29,7 +29,6 @@ def test_circle_heat_coefficients():
     assert CIRCLE.heat_coeff(Fraction(0)) == math.sqrt(math.pi) / 2.0
     assert CIRCLE.heat_coeff(Fraction(1, 2)) == -0.5
     assert CIRCLE.heat_coeff(Fraction(3, 2)) == 0.0  # complete: known zero
-    assert CIRCLE.heat_is_complete
 
 
 @pytest.mark.parametrize("model", [TORUS1, TORUS2, TORUS3])
@@ -38,7 +37,6 @@ def test_torus_heat_coefficients(model):
     assert model.heat_coeff(Fraction(0)) == math.pi ** (d / 2.0)
     assert model.heat_coeff(Fraction(d, 2)) == -1.0
     assert model.heat_coeff(Fraction(d + 1, 2)) == 0.0
-    assert model.heat_is_complete
 
 
 @pytest.mark.parametrize("model", [CIRCLE, TORUS1, TORUS2, TORUS3])
@@ -61,8 +59,23 @@ def test_zeta_at_nonpositive_integers_from_heat(model):
     for k in (0, 1, 2):
         want = (-1) ** k * math.factorial(k) * model.heat_coeff(
             Fraction(model.D, 2) + k)
-        got = model.zeta(-float(k))
-        assert _rel(got, want) < 1e-10
+        assert model.zeta_nonpos_int(k) == want
+        assert _rel(model.zeta(-float(k)), want) < 1e-10
+
+
+def test_circle_residue_from_heat_coefficients():
+    assert CIRCLE.zeta_poles() == (Fraction(1, 2),)
+    assert CIRCLE.zeta_res(0.5) == 0.5
+    assert CIRCLE.zeta_res(1.5) == 0.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_torus_residue_from_heat_coefficients(d):
+    # the Epstein pole at d/2 has residue pi^(d/2) / Gamma(d/2)
+    model = mf.torus_model(d)
+    assert model.zeta_poles() == (Fraction(d, 2),)
+    assert model.zeta_res(d / 2.0) == sf.epstein_res_fp(model.ctx).residue
+    assert model.zeta_res(d / 2.0 + 1.0) == 0.0
 
 
 @pytest.mark.parametrize("model,t", [(CIRCLE, 0.05), (TORUS1, 0.05),
@@ -124,7 +137,6 @@ def _table():
 def test_table_model_basic():
     tm = _table()
     assert tm.D == 2
-    assert not tm.heat_is_complete
     assert tm.heat_coeff(Fraction(1)) == -1.0
     with pytest.raises(WindowError):
         tm.heat_coeff(Fraction(3, 2))  # outside supplied window

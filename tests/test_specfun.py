@@ -4,8 +4,11 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import besselsum.specfun as sf
+from besselsum.errors import DomainError
 
 mp.mp.dps = 40
 
@@ -92,6 +95,68 @@ def test_bessel_k_even_in_order():
     assert sf.bessel_k(2.5, 1.3) == sf.bessel_k(-2.5, 1.3)
 
 
+@pytest.mark.parametrize("fn,args", [
+    (sf.hurwitz_zeta, (-175.3, 0.3)),
+    (sf.hurwitz_zeta_deriv, (-175.3, 0.3)),
+    (sf.polylog_pair, (-180.3, 0.3)),
+    (sf.polylog_pair_deriv, (-180.3, 0.3)),
+])
+def test_results_past_double_range_refused(fn, args):
+    # Gamma(1-s) in the reflection overflows below s = -170
+    with pytest.raises(DomainError):
+        fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# Derivatives against a Richardson central difference of the values
+# ---------------------------------------------------------------------------
+
+def _richardson(f, x, h=1e-3):
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + h / 2.0) - f(x - h / 2.0)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _off_integers(lo, hi):
+    return st.floats(lo, hi).filter(lambda v: abs(v - round(v)) > 0.01)
+
+
+def _check_deriv(f, df, x):
+    got = df(x)
+    scale = max(1.0, abs(f(x)), abs(got))
+    assert abs(got - _richardson(f, x)) < 1e-8 * scale
+
+
+_PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("lo,hi", [(-40.0, -0.5), (-0.5, 0.9)], ids=["reflection", "em"])
+def test_hurwitz_zeta_deriv_is_the_value_slope(lo, hi):
+    @_PROPERTY
+    @given(s=_off_integers(lo, hi), a=st.floats(0.02, 3.0))
+    def check(s, a):
+        _check_deriv(lambda v: sf.hurwitz_zeta(v, a), lambda v: sf.hurwitz_zeta_deriv(v, a), s)
+    check()
+
+
+@pytest.mark.parametrize("lo,hi", [(-30.0, -0.5), (-0.5, 30.0)], ids=["hurwitz", "series"])
+def test_polylog_pair_deriv_is_the_value_slope(lo, hi):
+    @_PROPERTY
+    @given(nu=_off_integers(lo, hi), x=st.floats(0.01, 0.99))
+    def check(nu, x):
+        _check_deriv(lambda v: sf.polylog_pair(v, x), lambda v: sf.polylog_pair_deriv(v, x), nu)
+    check()
+
+
+@pytest.mark.parametrize("lo,hi", [(-40.0, -0.5), (-0.5, 0.9)], ids=["reflection", "em"])
+def test_riemann_zeta_deriv_is_the_value_slope(lo, hi):
+    @_PROPERTY
+    @given(s=_off_integers(lo, hi))
+    def check(s):
+        _check_deriv(sf.riemann_zeta, sf.riemann_zeta_deriv, s)
+    check()
+
+
 # ---------------------------------------------------------------------------
 # Incomplete gamma helpers (used by the contour oracle / lattice tails)
 # ---------------------------------------------------------------------------
@@ -108,12 +173,3 @@ def test_upper_gamma_parameter_derivative(a):
     want = mp.diff(lambda aa: mp.gammainc(aa, x, mp.inf), a, h=mp.mpf("1e-12"))
     ctx = sf.EpsteinContext(1)
     assert _rel(sf._gl_log_integral(ctx, a, x), want) < 1e-11
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli polynomials
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n,x", [(8, 0.3), (3, 0.77), (2, 0.5), (4, 0.1)])
-def test_bernoulli_poly_matches_mpmath(n, x):
-    assert _rel(sf.bernoulli_poly(n, x), mp.bernpoly(n, x)) < 1e-12

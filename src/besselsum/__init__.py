@@ -16,7 +16,6 @@ from .applications import (
     mass_expansion,
     mass_sum,
     piston_zeta,
-    poisson_check,
     product_zeta,
     product_zeta_expansion,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "mass_expansion",
     "mass_sum",
     "piston_zeta",
-    "poisson_check",
     "product_zeta",
     "product_zeta_expansion",
     "sum_f",

@@ -22,15 +22,12 @@ Three applications share the core machinery:
   S(m) = sum_n (m/(nL))^{D/2-1} K_{D/2-1}(nLm) of the compactified lambda
   phi^4 model, equal to (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta) at
   beta = mL/2, with its small-m expansion transformed from expand_h0.
-
-``poisson_check`` exposes both sides of the Gaussian resummation identity the
-continuations rest on, as a numeric self-test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -40,13 +37,15 @@ from . import specfun as sf
 from .asymptotics import (
     Expansion,
     ExpansionTerm,
+    _gamma_factors,
+    _residue_at_zero,
     _snap_half,
     expand_f,
     expand_f0,
     expand_h0,
 )
 from .direct_eval import _MAX_TERMS, DEFAULT_TOL, EvalResult, sum_f
-from .errors import ConfigError, ConvergenceError, DomainError, PoleError
+from .errors import ConfigError, ConvergenceError, DomainError
 from .manifolds import ManifoldModel
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "PistonConfig",
     "product_zeta",
     "product_zeta_expansion",
-    "poisson_check",
     "piston_zeta",
     "casimir_energy",
     "casimir_force",
@@ -144,58 +142,28 @@ class PistonConfig:
 
 
 # ---------------------------------------------------------------------------
-# Shared gamma/zeta limit plumbing
+# The boundary term, from the engine's residue at t = 0
 # ---------------------------------------------------------------------------
 
 
-def _first_term_and_invgamma(
-    model: ManifoldModel, s: float, shift: Fraction
-) -> Tuple[float, float]:
-    """Evaluate lim_{sigma->s} Gamma(sigma-shift) zeta_N(sigma-shift) / Gamma(sigma).
+def _boundary_limit(model: ManifoldModel, s: float, d: int) -> Tuple[float, Optional[float]]:
+    """The boundary term lim Gamma(s') zeta_N(s') / Gamma(s), s' = s - (d+1)/2.
 
-    Returns ``(limit_value, inv_gamma_s)`` where ``inv_gamma_s`` is 1/Gamma(s),
-    exactly 0.0 when s is a nonpositive integer. All removable singularities
-    (gamma pole against an exact zeta_N zero, or either pole against the
-    1/Gamma(s) zero) are cancelled analytically; a genuine pole of the product
-    raises PoleError.
+    Returns ``(limit, inv_gamma_s)``; ``inv_gamma_s`` is 1/Gamma(s), or None
+    at s = -p, a nonpositive integer, where it vanishes. The limit is the
+    engine's residue at t = 0: Res[Gamma(t) Gamma(t+s') zeta_N(s'+t)] /
+    Gamma(s) for generic s, and (-1)^p p! Res[Gamma(t+s') zeta_N(s'+t)] at
+    s = -p. A genuine pole of the product raises PoleError.
     """
     s_half = _snap_half(s)
-    s_is_nonpos_int = s_half is not None and s_half.denominator == 1 and s_half <= 0
-    sp_frac = (s_half - shift) if s_half is not None else None
-    sp = (float(s_half) if s_half is not None else float(s)) - float(shift)
-    gamma_pole = sp_frac is not None and sp_frac.denominator == 1 and sp_frac <= 0
-    zeta_pole = sp_frac is not None and sp_frac in set(model.zeta_poles())
-
-    if not s_is_nonpos_int:
-        inv_gs = 1.0 / sf.gamma(float(s))
-        if zeta_pole:
-            raise PoleError(
-                f"zeta_N pole at shifted argument {sp}: the product zeta is singular here"
-            )
-        if gamma_pole:
-            ell = int(-sp_frac)
-            if model.zeta_nonpos_int(ell) != 0.0:
-                raise PoleError(
-                    f"gamma pole at shifted argument -{ell} with zeta_N(-{ell}) != 0: "
-                    "the product zeta is singular here"
-                )
-            # Gamma residue (-1)^ell/ell! picks up the zeta derivative.
-            deriv = model.zeta_deriv(sp)
-            return ((-1.0) ** ell / math.factorial(ell)) * deriv * inv_gs, inv_gs
-        return sf.gamma(sp) * model.zeta(sp) * inv_gs, inv_gs
-
-    # s = -p exactly: 1/Gamma(s) = 0 kills everything regular and leaves only
-    # ratio limits against the poles of the shifted factors.
-    p = int(-s_half)
-    if zeta_pole:
-        res = model.zeta_res(float(sp_frac))
-        return sf.gamma(float(sp_frac)) * res * ((-1.0) ** p) * math.factorial(p), 0.0
-    if gamma_pole:
-        ell = int(-sp_frac)
-        z0 = model.zeta_nonpos_int(ell)
-        sign = -1.0 if (ell - p) % 2 else 1.0
-        return sign * (math.factorial(p) / math.factorial(ell)) * z0, 0.0
-    return 0.0, 0.0
+    sp = (float(s_half) if s_half is not None else float(s)) - (d + 1) / 2.0
+    factors = _gamma_factors(sp, model)
+    if s_half is not None and s_half.denominator == 1 and s_half <= 0:
+        p = int(-s_half)
+        res = _residue_at_zero(factors[1:])
+        return (res * (-1.0) ** p * math.factorial(p) if res else 0.0), None
+    inv_gs = 1.0 / sf.gamma(float(s))
+    return _residue_at_zero(factors) * inv_gs, inv_gs
 
 
 def _prefactor(d: int) -> float:
@@ -214,13 +182,12 @@ def product_zeta(geom: ProductGeometry, s: float, tol: Optional[float] = None) -
     cancellations taken as limits) plus the direct Bessel double series.
     Raises PoleError at genuine poles of the continuation.
     """
-    shift = Fraction(geom.d + 1, 2)
-    first, inv_gs = _first_term_and_invgamma(geom.model, s, shift)
+    first, inv_gs = _boundary_limit(geom.model, s, geom.d)
     pref = geom.beta * _prefactor(geom.d)
-    if inv_gs == 0.0:
+    if inv_gs is None:
         # 1/Gamma(s) = 0: the Bessel series contributes nothing.
         return EvalResult(pref * first, 0.0, 0, "product_zeta")
-    sp = float(s) - float(shift)
+    sp = float(s) - (geom.d + 1) / 2.0
     fres = sum_f(geom.model, sp, geom.beta, geom.B, tol)
     value = pref * (first + 4.0 * fres.value * inv_gs)
     err = pref * 4.0 * fres.error_estimate * abs(inv_gs)
@@ -235,11 +202,9 @@ def product_zeta_expansion(geom: ProductGeometry, s: float, order: float) -> Exp
     is scaled by 4/(2^d pi^{(d+1)/2} Gamma(s)) and shifted one power up by the
     overall beta prefactor. At nonpositive integer s the 1/Gamma(s) zero
     collapses the expansion to the single ratio-limit term. s values where the
-    boundary term itself is singular require a regulator and raise PoleError.
+    boundary term itself is singular raise PoleError.
     """
-    shift = Fraction(geom.d + 1, 2)
     model = geom.model
-    s_half = _snap_half(s)
     params = {
         "family": "product_zeta",
         "d": geom.d,
@@ -248,102 +213,28 @@ def product_zeta_expansion(geom: ProductGeometry, s: float, order: float) -> Exp
         "s": float(s),
         "B": geom.B,
     }
-
-    if s_half is not None and s_half.denominator == 1 and s_half <= 0:
-        first, _ = _first_term_and_invgamma(model, s, shift)
-        terms = []
-        if first != 0.0:
-            terms.append(ExpansionTerm(1.0, _prefactor(geom.d) * first, 0.0))
+    first, inv_gs = _boundary_limit(model, s, geom.d)  # PoleError where it is singular
+    if inv_gs is None:
+        terms = [ExpansionTerm(1.0, _prefactor(geom.d) * first, 0.0)] if first != 0.0 else []
         return Expansion(
             family="product_zeta",
             case_tag="nonpos_int_s",
             params=params,
             terms=tuple(terms),
             max_power=1.0,
-            remainder_power=math.inf,
+            remainder_power=None,
         )
 
-    sp_frac = (s_half - shift) if s_half is not None else None
-    if sp_frac is not None and (
-        (sp_frac.denominator == 1 and sp_frac <= 0)
-        or sp_frac in set(model.zeta_poles())
-    ):
-        raise PoleError(
-            f"shifted argument {float(sp_frac)} sits on a gamma/zeta_N pole: "
-            "the expansion needs a regulator here"
-        )
-
-    sp = float(s) - float(shift)
+    sp = float(s) - (geom.d + 1) / 2.0
     sub_order = float(order) - 1.0
     if geom.B == 0.0:
         fx = expand_f0(model, sp, sub_order)
     else:
         fx = expand_f(model, sp, geom.B, sub_order)
-    scale = 4.0 * _prefactor(geom.d) / sf.gamma(float(s))
-    terms = []
-    for t in fx.terms:
-        if t.power == 0.0:
-            # This is the f ladder's beta^0 entry -Gamma(s')zeta_N(s')/4; it
-            # cancels the explicit boundary term, so neither is emitted.
-            continue
-        terms.append(
-            ExpansionTerm(t.power + 1.0, t.const_coeff * scale, t.log_coeff * scale)
-        )
-    remainder = fx.remainder_power
-    if remainder is not None and remainder != math.inf:
-        remainder = remainder + 1.0
-    return Expansion(
-        family="product_zeta",
-        case_tag=fx.case_tag,
-        params=params,
-        terms=tuple(terms),
-        max_power=fx.max_power + 1.0,
-        remainder_power=remainder,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gaussian (theta) resummation self-test
-# ---------------------------------------------------------------------------
-
-
-def poisson_check(t: float, beta: float, B: float = 0.0) -> Tuple[float, float]:
-    """Both sides of the Gaussian resummation identity.
-
-    lhs = sum_{m in Z} exp(-t pi^2 (m+B)^2 / beta^2)
-    rhs = beta/sqrt(pi t) * sum_{k in Z} exp(-k^2 beta^2 / t) cos(2 pi k B)
-
-    Returns (lhs, rhs); both are summed to machine precision so the caller can
-    assert their agreement.
-    """
-    t = float(t)
-    beta = float(beta)
-    B = float(B)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise DomainError(f"t must be positive and finite, got {t}")
-    if not (beta > 0.0 and math.isfinite(beta)):
-        raise DomainError(f"beta must be positive and finite, got {beta}")
-    if not (0.0 <= B < 1.0):
-        raise DomainError(f"B must lie in [0, 1), got {B}")
-
-    a = t * math.pi ** 2 / beta ** 2
-    m_max = int(math.sqrt(745.0 / a)) + 2
-    lhs = math.fsum(
-        math.exp(-a * (m + B) ** 2) for m in range(-m_max, m_max + 1)
-    )
-
-    b = beta ** 2 / t
-    k_max = int(math.sqrt(745.0 / b)) + 2
-    fac = beta / math.sqrt(math.pi * t)
-    rhs = fac * (
-        1.0
-        + 2.0
-        * math.fsum(
-            math.exp(-b * k * k) * math.cos(2.0 * math.pi * k * B)
-            for k in range(1, k_max + 1)
-        )
-    )
-    return lhs, rhs
+    # The f ladder's beta^0 entry -Gamma(s')zeta_N(s')/4 cancels the explicit
+    # boundary term, so neither is emitted.
+    fx = replace(fx, terms=tuple(t for t in fx.terms if t.power != 0.0))
+    return fx.rescaled("product_zeta", params, 1.0, 4.0 * _prefactor(geom.d) / sf.gamma(float(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -546,26 +437,6 @@ def mass_expansion(m: float, L: float, D: int, order: float) -> Expansion:
     powers are powers of m and the log channel is ln m.
     """
     m, L, D = _check_mass_args(m, L, D)
-    s0 = 1.0 - 0.5 * D
-    sub_order = float(order) - (D - 2)
-    hx = expand_h0(s0, sub_order)
-    pref = (2.0 / L ** 2) ** (0.5 * D - 1.0)
-    ln_l2 = math.log(0.5 * L)
-    terms = []
-    for t in hx.terms:
-        power = t.power + (D - 2)
-        factor = pref * (0.5 * L) ** power
-        const = factor * (t.const_coeff + t.log_coeff * ln_l2)
-        logc = factor * t.log_coeff
-        terms.append(ExpansionTerm(power, const, logc))
-    remainder = hx.remainder_power
-    if remainder is not None and remainder != math.inf:
-        remainder = remainder + (D - 2)
-    return Expansion(
-        family="mass_series",
-        case_tag=hx.case_tag,
-        params={"family": "mass_series", "m": m, "L": L, "D": D},
-        terms=tuple(terms),
-        max_power=hx.max_power + (D - 2),
-        remainder_power=remainder,
-    )
+    hx = expand_h0(1.0 - 0.5 * D, float(order) - (D - 2))
+    params = {"family": "mass_series", "m": m, "L": L, "D": D}
+    return hx.rescaled("mass_series", params, D - 2, (2.0 / L ** 2) ** (0.5 * D - 1.0), 0.5 * L)

@@ -46,7 +46,7 @@ terminate many of the ladders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -117,6 +117,26 @@ class Expansion:
         return math.fsum(
             (t.const_coeff + t.log_coeff * lb) * beta ** t.power for t in self.terms
         )
+
+    def rescaled(self, family: str, params: dict, shift: float, factor: float,
+                 lam: float = 1.0) -> "Expansion":
+        """The expansion of factor * (lam beta)^shift * F(lam beta), F this one.
+
+        A term (c + l ln beta) beta^p becomes
+        factor lam^(p+shift) (c + l ln lam + l ln beta) beta^(p+shift); the
+        max and remainder powers move by shift.
+        """
+        ln_lam = math.log(lam)
+        terms = []
+        for t in self.terms:
+            power = t.power + shift
+            k = factor * lam ** power
+            terms.append(ExpansionTerm(power, k * (t.const_coeff + t.log_coeff * ln_lam),
+                                       k * t.log_coeff))
+        rem = self.remainder_power
+        return replace(self, family=family, params=params, terms=tuple(terms),
+                       max_power=self.max_power + shift,
+                       remainder_power=None if rem is None else rem + shift)
 
     def to_dict(self) -> dict:
         return {
@@ -372,6 +392,27 @@ def _residue_term(factors, norm: float, t0, plist):
     return (const, logc)
 
 
+def _residue_at_zero(factors) -> float:
+    """Residue at t = 0 of the product of factors, by the walk's own rule.
+
+    The poles the walk would group at t = 0 are taken together, a double
+    pole by the double-pole rule. A residue with a log coefficient means
+    the product has a genuine double pole at t = 0, and raises PoleError.
+    """
+    for group in _group_poles(factors, -_GRID):
+        if group[0] != 0.0:
+            continue
+        _check_group([group], 0)  # alone: only its own poles can refuse it
+        coeffs = _residue_term(factors, 1.0, *group[1:])
+        if coeffs is None:
+            return 0.0
+        if coeffs[1] != 0.0:
+            raise PoleError(f"the residue at t={group[1]} has a log term: the factors "
+                            "have a double pole there, and their product is singular")
+        return coeffs[0]
+    return 0.0
+
+
 def _assemble(factors, norm: float, order: float):
     """One walk over the pole groups: (terms up to beta^order, remainder_power).
 
@@ -456,6 +497,14 @@ def dispatch_case(family: str, s: float, D_or_d: Optional[int] = None) -> str:
 # Family front ends
 # ---------------------------------------------------------------------------
 
+def _gamma_factors(s: float, model: Optional[ManifoldModel] = None) -> list:
+    """Gamma(t) Gamma(t+s) [zeta_M(s+t)]: the factors every family starts from."""
+    factors = [_GammaFactor(0.0), _GammaFactor(s)]
+    if model is not None:
+        factors.append(_ModelZetaFactor(model, s))
+    return factors
+
+
 def _expand(family: str, s: float, order: float, norm: float, params: dict,
             model: Optional[ManifoldModel] = None,
             last: Optional[_Factor] = None) -> Expansion:
@@ -474,10 +523,7 @@ def _expand(family: str, s: float, order: float, norm: float, params: dict,
         )
     sh = _snap_half(s)
     tag = dispatch_case(family, s, None if model is None else model.D)
-    s_sym = float(sh if sh is not None else s)
-    factors = [_GammaFactor(0.0), _GammaFactor(s_sym)]
-    if model is not None:
-        factors.append(_ModelZetaFactor(model, s_sym))
+    factors = _gamma_factors(float(sh if sh is not None else s), model)
     if last is not None:
         factors.append(last)
     terms, remainder = _assemble(factors, norm, order)

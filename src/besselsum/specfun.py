@@ -650,7 +650,7 @@ class EpsteinContext:
             raise DomainError(f"Epstein dimension must be a positive integer, got {d}")
         self.d = int(d)
         self.cache: dict = {}
-        self._shells = lattice_shell_counts(self.d, _EPSTEIN_KMAX)
+        self._shells = lattice_shell_counts(self.d, _EPSTEIN_KMAX).tolist()
         self._lag_nodes, self._lag_weights = np.polynomial.laguerre.laggauss(80)
 
     def __repr__(self):  # pragma: no cover
@@ -705,6 +705,11 @@ def _lambda_full(ctx: EpsteinContext, u: float, want_deriv: bool = False):
     return _lambda_ksum(ctx, u) + 1.0 / (u - d2) - 1.0 / u
 
 
+def _check_finite(val: float, what: str, u: float) -> None:
+    if not math.isfinite(val):
+        raise DomainError(f"{what} at u={u} leaves double range")
+
+
 def epstein_zeta(ctx: EpsteinContext, u: float) -> float:
     """Epstein zeta of Z^d at real u (PoleError at u = d/2; exact values at 0, -1, -2, ...)."""
     u = float(u)
@@ -720,6 +725,7 @@ def epstein_zeta(ctx: EpsteinContext, u: float) -> float:
         val = -1.0 if n == 0 else 0.0
     else:
         val = math.pi ** u * _lambda_full(ctx, u) / float(_sp.gamma(u))
+    _check_finite(val, "zeta_E(u)", u)
     ctx.cache[key] = val
     return val
 
@@ -756,5 +762,6 @@ def epstein_zeta_deriv(ctx: EpsteinContext, u: float) -> float:
         lam, dlam = _lambda_full(ctx, u, want_deriv=True)
         R = math.pi ** u / float(_sp.gamma(u))
         val = R * ((math.log(math.pi) - float(_sp.digamma(u))) * lam + dlam)
+    _check_finite(val, "d/du zeta_E(u)", u)
     ctx.cache[key] = val
     return val

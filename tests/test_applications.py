@@ -21,6 +21,8 @@ from besselsum import specfun as sf
 from besselsum.errors import ConfigError, ConvergenceError, PoleError
 from besselsum.manifolds import CircleModel, TableModel, circle_model, torus_model
 
+from util import poisson_check
+
 CIRCLE = circle_model()
 
 
@@ -31,16 +33,16 @@ CIRCLE = circle_model()
 
 class TestPoissonCheck:
     def test_generic_point(self):
-        lhs, rhs = ap.poisson_check(0.7, 1.2, 0.3)
+        lhs, rhs = poisson_check(0.7, 1.2, 0.3)
         assert abs(lhs - rhs) < 1e-14 * max(1.0, abs(rhs))
 
     def test_self_dual_point(self):
-        lhs, rhs = ap.poisson_check(1.0, math.sqrt(math.pi), 0.0)
+        lhs, rhs = poisson_check(1.0, math.sqrt(math.pi), 0.0)
         assert abs(lhs - rhs) < 1e-14 * max(1.0, abs(rhs))
 
     def test_small_t_limit(self):
         # As t -> 0 both sides approach b / sqrt(pi t).
-        lhs, rhs = ap.poisson_check(0.02, 0.9, 0.2)
+        lhs, rhs = poisson_check(0.02, 0.9, 0.2)
         limit = 0.9 / math.sqrt(math.pi * 0.02)
         assert abs(lhs - limit) < 1e-12 * limit
         assert abs(rhs - limit) < 1e-12 * limit
@@ -51,7 +53,7 @@ class TestPoissonCheck:
             t = float(10.0 ** rng.uniform(-1, 1))
             b = float(10.0 ** rng.uniform(-0.5, 0.5))
             B = float(rng.uniform(0, 1))
-            lhs, rhs = ap.poisson_check(t, b, B)
+            lhs, rhs = poisson_check(t, b, B)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
 
 
@@ -188,6 +190,11 @@ class TestProductZeta:
         assert abs(v0 - 0.5 * (vp + vm)) < 1e-7
 
 
+_GRID_MODELS = {"circle": CIRCLE, "torus:1": torus_model(1), "torus:2": torus_model(2),
+                "torus:3": torus_model(3)}
+_GRID_S = [k / 2.0 for k in range(-10, 12)] + [0.3, -2.7, 1.2, 3.71]
+
+
 class TestProductZetaExpansion:
     def _check_against_direct(self, geom, s, order, beta, scale):
         ex = ap.product_zeta_expansion(geom, s, order)
@@ -235,6 +242,42 @@ class TestProductZetaExpansion:
         ex = ap.product_zeta_expansion(geom, 0.0, 6.0)
         want = ap.product_zeta(geom, 0.0).value
         assert abs(ex.evaluate(0.15) - want) < 1e-14 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("name", sorted(_GRID_MODELS))
+    def test_refuses_exactly_where_the_direct_value_does(self, name):
+        # one pole rule for both: a log term in the engine's residue at t = 0
+        model = _GRID_MODELS[name]
+        mismatched = []
+        for d in range(4):
+            for s in _GRID_S:
+                try:
+                    ap.product_zeta(ap.ProductGeometry(d, model, 0.3, 0.25), s)
+                    direct = False
+                except PoleError:
+                    direct = True
+                for order in (0.0, 4.0, 10.0):
+                    try:
+                        ap.product_zeta_expansion(ap.ProductGeometry(d, model, 1.0, 0.25), s, order)
+                        expanded = False
+                    except PoleError:
+                        expanded = True
+                    if expanded != direct:
+                        mismatched.append((d, s, order, direct))
+        assert mismatched == []
+
+    @pytest.mark.parametrize("name", ["circle", "torus:1", "torus:2"])
+    def test_gamma_pole_on_an_exact_zeta_zero_expands(self, name):
+        # s' = s - (d+1)/2 a nonpositive integer where zeta_N(s') = 0: the
+        # boundary term has a finite limit, and so does the table
+        model = _GRID_MODELS[name]
+        for d, s in [(0, -2.5), (0, -1.5), (0, -0.5), (2, -2.5), (2, -1.5), (2, -0.5), (2, 0.5)]:
+            ex = ap.product_zeta_expansion(ap.ProductGeometry(d, model, 1.0, 0.25), s, 10.0)
+            for beta in (0.05, 0.1, 0.2):
+                r = ap.product_zeta(ap.ProductGeometry(d, model, beta, 0.25), s)
+                lb = math.log(beta)
+                size = sum((abs(t.const_coeff) + abs(t.log_coeff * lb)) * beta ** t.power
+                           for t in ex.terms)
+                assert abs(ex.evaluate(beta) - r.value) <= r.error_estimate + 1e-10 * size
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,7 @@ def test_far_negative_s_polylog_tables_finite(build):
     lambda: asym.expand_f0(CIRCLE, -140.3, 2),
     lambda: asym.expand_g(2, -130.1, 2),
 ], ids=["f_circle_-140.3", "f0_circle_-140.3", "g2_-130.1"])
+@pytest.mark.filterwarnings("error")
 def test_far_negative_s_coefficient_past_double_range_refused(build):
     # zeta(2s) and the Epstein zeta pass 1.8e308 at the beta^0 or beta^-1 term
     with pytest.raises(DomainError):

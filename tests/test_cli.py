@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, deterministic output, flag validation.
 
-All invocations go through ``cli.run`` in-process so that stdout/stderr and
-exit codes can be asserted without spawning an interpreter.
+All invocations but one go through ``cli.run`` in-process so that
+stdout/stderr and exit codes can be asserted without spawning an
+interpreter; the one spawns it to see stderr exactly as a shell does.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -248,6 +252,19 @@ class TestExpand:
         assert code == 2
         assert out == ""
         assert err.startswith("besselsum: DomainError")
+
+    def test_epstein_past_double_range_prints_only_the_error(self):
+        # the Epstein zeta of the beta^0 term overflows; no warning may leak
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "besselsum.cli", "expand", "--series", "g", "--d", "2",
+             "--s=-130.1", "--order", "2"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("besselsum: DomainError")
 
 
 # ---------------------------------------------------------------------------

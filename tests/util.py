@@ -6,6 +6,7 @@ import math
 from besselsum import asymptotics as asym
 from besselsum import direct_eval as de
 from besselsum import manifolds as mf
+from besselsum.errors import DomainError
 
 # ---------------------------------------------------------------------------
 # Small numeric helpers
@@ -188,3 +189,47 @@ def instance_tag(row) -> str:
 def special_instances():
     """Rows whose branch is not the generic one (for the eps-limit check)."""
     return [row for row in INSTANCES if instance_tag(row) != "generic"]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian (theta) resummation identity
+# ---------------------------------------------------------------------------
+
+
+def poisson_check(t: float, beta: float, B: float = 0.0):
+    """Both sides of the Gaussian resummation identity.
+
+    lhs = sum_{m in Z} exp(-t pi^2 (m+B)^2 / beta^2)
+    rhs = beta/sqrt(pi t) * sum_{k in Z} exp(-k^2 beta^2 / t) cos(2 pi k B)
+
+    Returns (lhs, rhs); both are summed to machine precision so the caller can
+    assert their agreement.
+    """
+    t = float(t)
+    beta = float(beta)
+    B = float(B)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise DomainError(f"t must be positive and finite, got {t}")
+    if not (beta > 0.0 and math.isfinite(beta)):
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    if not (0.0 <= B < 1.0):
+        raise DomainError(f"B must lie in [0, 1), got {B}")
+
+    a = t * math.pi ** 2 / beta ** 2
+    m_max = int(math.sqrt(745.0 / a)) + 2
+    lhs = math.fsum(
+        math.exp(-a * (m + B) ** 2) for m in range(-m_max, m_max + 1)
+    )
+
+    b = beta ** 2 / t
+    k_max = int(math.sqrt(745.0 / b)) + 2
+    fac = beta / math.sqrt(math.pi * t)
+    rhs = fac * (
+        1.0
+        + 2.0
+        * math.fsum(
+            math.exp(-b * k * k) * math.cos(2.0 * math.pi * k * B)
+            for k in range(1, k_max + 1)
+        )
+    )
+    return lhs, rhs

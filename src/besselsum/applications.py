@@ -153,7 +153,8 @@ def _boundary_limit(model: ManifoldModel, s: float, d: int) -> Tuple[float, Opti
     at s = -p, a nonpositive integer, where it vanishes. The limit is the
     engine's residue at t = 0: Res[Gamma(t) Gamma(t+s') zeta_N(s'+t)] /
     Gamma(s) for generic s, and (-1)^p p! Res[Gamma(t+s') zeta_N(s'+t)] at
-    s = -p. A genuine pole of the product raises PoleError.
+    s = -p. A genuine pole of the product raises PoleError; DomainError where
+    Gamma(s) underflows to 0 (far below zero), as 1/Gamma(s) leaves double range.
     """
     s_half = _snap_half(s)
     sp = (float(s_half) if s_half is not None else float(s)) - (d + 1) / 2.0
@@ -162,7 +163,10 @@ def _boundary_limit(model: ManifoldModel, s: float, d: int) -> Tuple[float, Opti
         p = int(-s_half)
         res = _residue_at_zero(factors[1:])
         return (res * (-1.0) ** p * math.factorial(p) if res else 0.0), None
-    inv_gs = 1.0 / sf.gamma(float(s))
+    gs = sf.gamma(float(s))
+    if gs == 0.0:
+        raise DomainError(f"Gamma(s) underflows to 0 at s={s}: 1/Gamma(s) leaves double range")
+    inv_gs = 1.0 / gs
     return _residue_at_zero(factors) * inv_gs, inv_gs
 
 

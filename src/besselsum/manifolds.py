@@ -172,6 +172,11 @@ class TorusModel(ManifoldModel):
         return sf.epstein_zeta_deriv(self.ctx, s)
 
     def eigenvalues(self) -> Iterator[tuple]:
+        if self.d == 1:  # shells k = n^2, each holding +-n
+            n = 1
+            while True:
+                yield (float(n), 2.0)
+                n += 1
         k0, kmax = 1, 256
         while True:
             shells = sf.lattice_shell_counts(self.d, kmax)

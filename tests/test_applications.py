@@ -18,7 +18,7 @@ from besselsum import applications as ap
 from besselsum import asymptotics as asy
 from besselsum import direct_eval as de
 from besselsum import specfun as sf
-from besselsum.errors import ConfigError, ConvergenceError, PoleError
+from besselsum.errors import ConfigError, ConvergenceError, DomainError, PoleError
 from besselsum.manifolds import CircleModel, TableModel, circle_model, torus_model
 
 from util import poisson_check
@@ -179,6 +179,16 @@ class TestProductZeta:
         # d=0 circle at s=1/2: shifted argument 0 has zeta_N(0) = -1/2 != 0.
         with pytest.raises(PoleError):
             ap.product_zeta(ap.ProductGeometry(d=0, model=CIRCLE, beta=0.9), 0.5)
+
+    @pytest.mark.parametrize("s", [-340.5, -171.5, -200.3])
+    def test_gamma_underflow_is_a_domain_error(self, s):
+        # Gamma(s) underflows to 0 there, so 1/Gamma(s) leaves double range.
+        assert sf.gamma(s) == 0.0
+        geom = ap.ProductGeometry(0, CIRCLE, 0.5, 0.25)
+        with pytest.raises(DomainError, match="Gamma"):
+            ap.product_zeta(geom, s)
+        with pytest.raises(DomainError, match="Gamma"):
+            ap.product_zeta_expansion(geom, s, 3.0)
 
     def test_nonpositive_integer_s_on_zeta_pole(self):
         toy = _ShiftedPoleModel()

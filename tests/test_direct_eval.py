@@ -229,6 +229,54 @@ def test_f_many_rows_in_bounded_blocks(monkeypatch):
     assert abs(res.value - want) < 1e-10 * want
 
 
+_S_GRID = (-2.3, -1.0, 0.7, 2.0)  # negative, negative integer, fractional, integer
+_LAYOUT_GRID = (
+    [("h", lambda s=s, b=b, B=B: de.sum_h(SeriesParams(s, b, B)))
+     for b in (1e-3, 0.03, 0.5, 3.0) for s in _S_GRID for B in (0.0, 0.3)]
+    + [("g", lambda d=d, s=s, b=b: de.sum_g(d, s, b))
+       for d in (1, 2, 3) for b in (0.05, 0.5, 3.0) for s in _S_GRID]
+    + [("f", lambda m=m, s=s, b=b, B=B: de.sum_f(m, s, b, B))
+       for m, betas in ((CIRCLE, (0.01, 0.2, 3.0)), (mf.torus_model(1), (0.01, 0.2, 3.0)),
+                        (TORUS2, (0.1, 1.0, 3.0)))
+       for b in betas for s in _S_GRID for B in (0.0, 0.3)]
+)
+
+
+def test_block_layout_does_not_change_the_result(monkeypatch):
+    # Blocks of at most 256 elements split every stream that a default block
+    # holds whole: the rule must see the same elements and stop at the same one.
+    default = [f() for _, f in _LAYOUT_GRID]
+    monkeypatch.setattr(de, "_BLOCK", 256)
+    for (family, f), want in zip(_LAYOUT_GRID, default):
+        got = f()
+        assert (got.terms_used, got.error_estimate) == (want.terms_used, want.error_estimate), family
+        assert abs(got.value - want.value) <= 1e-13 * max(1.0, abs(want.value)), family
+
+
+def test_row_does_not_depend_on_the_rows_beside_it():
+    # Row 1 sums to about 1e21, rows 40-64 to about 1e5 or less: summed in
+    # one block, a row's partial sums must not carry row 1's rounding.
+    s, beta, tol = -5.0, 0.01, de.DEFAULT_TOL
+    a = np.arange(1.0, 65.0)
+    together = de._sweep(s, beta, tol, de._row_source(s, beta, a, 0.0), de._need(s, beta, tol, a) / a + 3.0)
+    for i in (0, 39, 63):
+        alone = de._sweep(s, beta, tol, de._row_source(s, beta, a[i:i + 1], 0.0), np.array([3.0]))
+        assert (together[2][i], together[1][i]) == (alone[2][0], alone[1][0])
+        assert _rel(together[0][i], alone[0][0]) < 1e-15
+
+
+@pytest.mark.parametrize("d, s, beta", [(1, -12.0, 0.02), (2, -5.0, 0.05), (3, -3.0, 0.1)])
+def test_g_shell_array_stays_within_twice_the_stop(monkeypatch, d, s, beta):
+    # At s < 0 and small beta the weight beta^{2s} pushes the prediction far
+    # past the stop; the shells built must still follow the shells read.
+    asked = []
+    counts = de.sf.lattice_shell_counts
+    monkeypatch.setattr(de.sf, "lattice_shell_counts", lambda dim, k: asked.append(k) or counts(dim, k))
+    res = de.sum_g(d, s, beta)
+    shells = np.flatnonzero(counts(d, max(asked))[1:]) + 1
+    assert max(asked) <= max(2 * shells[res.terms_used - 1], de._BLOCK)
+
+
 # ---------------------------------------------------------------------------
 # Diagnostics and validation
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Eigenvalue models: heat coefficients, spectral zetas, file parsing."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -119,6 +120,19 @@ def test_torus_zeta_is_epstein():
 def test_torus_pole_location():
     assert TORUS2.zeta_poles() == (Fraction(1),)
     assert _rel(TORUS2.zeta_res(Fraction(1)), math.pi) < 1e-12
+
+
+def test_torus1_eigenvalues_equal_the_shell_route():
+    # The shell route yields (sqrt(k), r_1(k)) over the nonempty shells k of
+    # lattice_shell_counts. Its array to n = 10^4 would hold 10^8 shells
+    # (800 MB), so it is built to 2^22: the first 2048 pairs are checked
+    # against it, the rest only against its closed form (n, r_1(n^2) = 2).
+    pairs = list(itertools.islice(TORUS1.eigenvalues(), 10 ** 4))
+    r = sf.lattice_shell_counts(1, 1 << 22)
+    ks = np.flatnonzero(r[1:]) + 1
+    assert ks.size == 2048
+    assert pairs[:ks.size] == [(math.sqrt(k), float(r[k])) for k in ks.tolist()]
+    assert pairs[ks.size:] == [(float(n), 2.0) for n in range(ks.size + 1, 10 ** 4 + 1)]
 
 
 # ---------------------------------------------------------------------------

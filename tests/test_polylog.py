@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -47,13 +48,23 @@ def test_pair_matches_mpmath(nu, x):
                                 1.7, 2.0, 3.00001, 3.2, 4.527])
 @pytest.mark.parametrize("x", [0.3, 0.5, 0.06])
 def test_pair_order_derivative_matches_mpmath(nu, x):
-    def f(v):
-        if x == 0.5:
-            return -2 * mp.altzeta(v)  # C(v, 1/2) = -2 eta(v), at a fraction of the cost
-        return (mp.polylog(v, mp.e ** (2j * mp.pi * x))
-                + mp.polylog(v, mp.e ** (-2j * mp.pi * x)))
+    # At x = p/q, C(v, x) = 2 q^-v sum_{r=1..q} cos(2 pi r p/q) zeta(v, r/q), so
+    # dC/dv comes from mpmath's Hurwitz zeta and its v-derivative, with no
+    # polylog and no numerical difference. The sum is analytic at v = 1, where
+    # each zeta has its pole: there it is the mean over v = 1 +- 1e-15.
+    p, q = Fraction(x).limit_denominator(100).as_integer_ratio()
 
-    want = complex(mp.diff(f, nu, h=mp.mpf("1e-10"))).real
+    def dC(v):
+        return 2 * q ** -v * mp.fsum(
+            mp.cos(2 * mp.pi * r * p / q)
+            * (mp.zeta(v, mp.mpf(r) / q, 1) - mp.log(q) * mp.zeta(v, mp.mpf(r) / q))
+            for r in range(1, q + 1))
+
+    with mp.workdps(60):
+        if nu == 1.0:
+            want = (dC(1 + mp.mpf("1e-15")) + dC(1 - mp.mpf("1e-15"))) / 2
+        else:
+            want = dC(mp.mpf(nu))
     assert _rel(sf.polylog_pair_deriv(nu, x), want) < 1e-9
 
 

@@ -44,7 +44,7 @@ from .asymptotics import (
     expand_f0,
     expand_h0,
 )
-from .direct_eval import _MAX_TERMS, DEFAULT_TOL, EvalResult, sum_f
+from .direct_eval import _BLOCK, _MAX_TERMS, DEFAULT_TOL, EvalResult, _need, sum_f
 from .errors import ConfigError, ConvergenceError, DomainError
 from .manifolds import ManifoldModel
 
@@ -390,7 +390,8 @@ def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalRes
     (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta). It stops at the direct sums'
     rule: three terms in a row below tol * max(1, |S|) * (1 - e^{-Lm}), past
     n* = (nu + 2)/(Lm). Masses whose reach (nu + 2 + ln(1/tol))/(Lm) passes
-    the direct sums' term budget are refused with ConvergenceError.
+    the direct sums' term budget are refused with ConvergenceError, and so
+    is a non-finite term, as in the direct sums.
     """
     m, L, D = _check_mass_args(m, L, D)
     if tol is None:
@@ -413,22 +414,28 @@ def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalRes
     small = 0
     term = 0.0
     n = 0
-    block = 64
+    # The terms are (m^2/2)^nu h0's at order -nu and beta = x/2: the h0
+    # predictor sizes the first block, so that it most often holds the stop.
+    block = min(int(_need(-nu, 0.5 * x, tol, 1.0, nu * math.log(0.5 * m * m))) + 3, _BLOCK)
     while small < 3:
         if n >= _MAX_TERMS:
             raise ConvergenceError(f"mass sum passed {_MAX_TERMS} terms at m={m}, L={L}")
         ns = np.arange(n + 1, n + block + 1, dtype=float)
-        for term in ((m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)).tolist():
+        with np.errstate(all="ignore"):
+            terms = (m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)
+        for term in terms.tolist():
             n += 1
             pieces.append(term)
             running += term
+            if not math.isfinite(running):
+                raise ConvergenceError(f"mass sum term {n} is non-finite at m={m}, L={L}, D={D}")
             if n >= n_star and abs(term) < tol * max(1.0, abs(running)) * decay:
                 small += 1
                 if small >= 3:
                     break
             else:
                 small = 0
-        block = min(2 * block, 4096)
+        block = min(2 * block, _BLOCK)
     err = 2.0 * abs(term) * math.exp(-x) / decay
     return EvalResult(math.fsum(pieces), err, n, "mass_sum")
 

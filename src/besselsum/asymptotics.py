@@ -130,9 +130,14 @@ class Expansion:
         terms = []
         for t in self.terms:
             power = t.power + shift
-            k = factor * lam ** power
-            terms.append(ExpansionTerm(power, k * (t.const_coeff + t.log_coeff * ln_lam),
-                                       k * t.log_coeff))
+            try:
+                k = factor * lam ** power
+            except OverflowError:
+                k = math.inf
+            term = ExpansionTerm(power, k * (t.const_coeff + t.log_coeff * ln_lam), k * t.log_coeff)
+            if not (math.isfinite(term.const_coeff) and math.isfinite(term.log_coeff)):
+                raise DomainError(f"the beta^{power:g} coefficient of {family} leaves double range")
+            terms.append(term)
         rem = self.remainder_power
         return replace(self, family=family, params=params, terms=tuple(terms),
                        max_power=self.max_power + shift,

@@ -62,6 +62,7 @@ the inner rows' bounds are added.
 
 from __future__ import annotations
 
+import bisect
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -158,27 +159,29 @@ def _envelope(s: float, beta: float, x: np.ndarray) -> np.ndarray:
     return (x * beta) ** s * sf.bessel_k_many(s, 2.0 * beta * x)
 
 
-def _need(s: float, beta: float, tol: float, spacing, log_w: float = 0.0) -> np.ndarray:
-    """Node x = y/(2 beta) where the rule should stop a stream, per spacing dx.
+def _need(s: float, beta: float, tol: float, spacing: float, log_w: float = 0.0) -> float:
+    """Node x = y/(2 beta) where the rule should stop a stream of node spacing dx.
 
     Solves w E(x) = tol (1 - e^{-2 beta dx}) for y = 2 x beta >= |s| + 2,
     w = e^log_w the stream's weight, with E from the large-argument form of
-    K_s (DLMF 10.40.2, two correction terms):
-    E ~ sqrt(pi/2) 2^-s y^(s-1/2) e^-y (1 + m/y + m (4s^2 - 9)/(16 y^2)),
-    m = (4s^2 - 1)/8, by a fixed-point step and three Newton steps. That is
-    the rule's threshold for |S| <= 1; a larger sum stops sooner. It only
-    sizes first blocks. A prediction one element short costs a second K_nu
-    call: without the correction terms, or with the fixed-point step alone,
-    a quarter of phased h sums need one.
+    K_s (DLMF 10.40.2, three correction terms):
+    E ~ sqrt(pi/2) 2^-s y^(s-1/2) e^-y (1 + a_1/y + a_2/y^2 + a_3/y^3),
+    a_k = a_{k-1} (4s^2 - (2k-1)^2)/(8k), by a fixed-point step and three
+    Newton steps. That is the rule's threshold for |S| <= 1; a larger sum
+    stops sooner. It only sizes first blocks. A prediction one element short
+    costs a second K_nu call: with two correction terms, h(3.4, 0.001, B) is.
     """
-    rhs = np.log(tol * -np.expm1(-2.0 * beta * np.asarray(spacing, dtype=float)))
-    rhs = rhs - log_w - 0.5 * math.log(math.pi / 2.0) + s * math.log(2.0)
-    a, m, y_min = s - 0.5, (4.0 * s * s - 1.0) / 8.0, abs(s) + 2.0
-    y = np.maximum(-rhs, y_min)
-    y = np.maximum(y + a * np.log(y), y_min)
+    rhs = math.log(tol * -math.expm1(-2.0 * beta * spacing))
+    rhs += -log_w - 0.5 * math.log(math.pi / 2.0) + s * math.log(2.0)
+    a, y_min = s - 0.5, abs(s) + 2.0
+    y = max(-rhs, y_min)
+    y = max(y + a * math.log(y), y_min)
     for _ in range(3):
-        lhs = a * np.log(y) - y + np.log1p(m / y * (1.0 + (4.0 * s * s - 9.0) / (16.0 * y)))
-        y = np.maximum(y - (lhs - rhs) / (a / y - 1.0), y_min)
+        series, coeff = 1.0, 1.0
+        for k in (1, 2, 3):
+            coeff *= (4.0 * s * s - (2 * k - 1) ** 2) / (8.0 * k * y)
+            series += coeff
+        y = max(y - (a * math.log(y) - y + math.log(series) - rhs) / (a / y - 1.0), y_min)
     return y / (2.0 * beta)
 
 
@@ -192,16 +195,13 @@ def _tail(x, kern, cum, j, lo, beta: float) -> np.ndarray:
     least e^{-2 beta dx}, since far out every kernel falls like e^{-2 x beta}
     and nearer in its decay only slows down as x grows.
     """
+    ahead = j > lo
     steps = np.maximum(j - lo, 1)
-    xj = x[j]
-    xlo = x[lo]
-    nj = cum[j]
-    kj = kern[j]
-    dx = np.where(j > lo, (xj - xlo) / steps, xj)
-    p = np.where(j > lo, np.log(nj / cum[lo]) / np.log(xj / xlo), 1.0)
+    xj, xlo, kj, nj = x[j], x[lo], kern[j], cum[j]
+    dx = np.where(ahead, (xj - xlo) / steps, xj)
+    p = np.where(ahead, np.log(nj / cum[lo]) / np.log(xj / xlo), 1.0)
     rho = (kj / kern[lo]) ** (1.0 / steps)
-    floor = np.exp(-2.0 * beta * dx)
-    rho = np.where(rho < 1.0, np.fmax(rho, floor), floor)
+    rho = np.fmax(np.where(rho < 1.0, rho, 0.0), np.exp(-2.0 * beta * dx))
     return 2.0 * p * nj / xj * dx * kj * rho / (1.0 - rho)
 
 
@@ -214,7 +214,7 @@ def _run_sums(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
     (Hillis-Steele): each sum then rounds only over its own run's elements.
     """
     if pos[-1] == pos.size - 1:  # a single run
-        return np.cumsum(a, axis=-1)
+        return a.cumsum(axis=-1)
     c = a.copy()
     step, top = 1, pos.max()
     while step <= top:
@@ -240,73 +240,72 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
     """
     rows = len(first)
     x_star = (abs(s) + 2.0) / (2.0 * beta)
-    value = np.zeros(rows)
+    carry = np.zeros((2, rows))  # per stream: partial sum and weight up to its last element read
     tail = np.zeros(rows)
-    weight = np.zeros(rows)
     count = np.zeros(rows, dtype=np.int64)
-    stopped = np.zeros(rows, dtype=bool)
-    failed = np.zeros(rows, dtype=bool)
+    stopped, failed = np.zeros((2, rows), dtype=bool)
     want = np.minimum(first, _BLOCK).astype(np.int64)
     live = np.arange(rows)
+    read = 0  # elements read over all streams, a bound on the terms of any one
     while live.size:
-        start = np.maximum(count[live] - _WINDOW, 0)
-        size = np.minimum(count[live] - start + want[live], _BLOCK)
-        ends = np.cumsum(size)
+        had = count[live]
+        start = np.maximum(had - _WINDOW, 0)
+        size = np.minimum(had - start + want[live], _BLOCK)
+        ends = size.cumsum()
         going = np.zeros(live.size, dtype=bool)
         i = 0
         while i < live.size:  # runs of streams, at most _BLOCK elements each
-            k = int(np.searchsorted(ends, ends[i] - size[i] + _BLOCK, side="right"))
+            k = int(ends.searchsorted(ends[i] - size[i] + _BLOCK, side="right"))
             r = live[i:k]
             x, kern, wmax, term, got = source(start[i:k], size[i:k], r)
-            old = count[r] - start[i:k]  # elements re-read
-            off = np.cumsum(got) - got
-            last = off + got - 1
             n = x.size
+            last = got.cumsum() - 1
+            off = last - got + 1
+            old = had[i:k] - start[i:k]  # elements re-read
             at = np.arange(n)
-            pos = at - np.repeat(off, got)
-            new = pos >= np.repeat(old, got)
-            sums = _run_sums(np.stack((term, wmax)), pos)
-            back = np.where(old > 0, sums[:, off + old - 1], 0.0)  # over the re-read elements
-            partial = np.repeat(value[r] - back[0], got) + sums[0]
-            cum = np.repeat(weight[r] - back[1], got) + sums[1]
+            pos = at - off.repeat(got)
+            new = pos >= old.repeat(got)
+            sums = _run_sums(np.array((term, wmax)), pos)
+            # Partial sums and weights carried in, less the re-read elements'.
+            base = carry[:, r] - np.where(old > 0, sums[:, off + old - 1], 0.0)
+            partial, cum = base.repeat(got, axis=1) + sums
             # A run's first element gets x = 0 and no kernel before it, as at a
             # stream's start. Were it re-read, the rule looks back at it only if
             # the stream is at most 2 elements old, so it is the stream's start.
-            dx = np.empty(n)
-            dx[1:] = x[1:] - x[:-1]
-            dx[off] = x[off]
-            env = wmax * kern
-            small = env < tol * np.maximum(1.0, np.abs(partial)) * -np.expm1(-2.0 * beta * dx)
-            run = small & (pos >= 2)
-            run[2:] &= small[1:-1] & small[:-2]
-            before = np.empty(n)
-            before[1:] = kern[:-1]
-            before[off] = math.inf
-            grows = (x > x_star) & (kern > before * (1.0 + 1e-9)) & (kern > 1e-305)
-            bad = new & (~(np.isfinite(env) & np.isfinite(partial)) | grows)
-            stop = np.minimum.reduceat(np.where(run & new & (x >= x_star), at, n), off)
-            fail = np.minimum.reduceat(np.where(bad, at, n), off) <= np.minimum(stop, last)
-            stop_here = (stop <= last) & ~fail
-            upto = np.where(stop_here, stop, last)
-            used = new & (at <= np.repeat(upto, got))
-            value[r] += np.add.reduceat(np.where(used, term, 0.0), off)
+            prev = np.empty((2, n))
+            prev[0, 1:] = x[:-1]
+            prev[1, 1:] = kern[:-1]
+            prev[:, off] = [[0.0], [math.inf]]
+            small = wmax * kern < -tol * np.maximum(1.0, np.abs(partial)) * np.expm1(-2.0 * beta * (x - prev[0]))
+            stop = small & new & (pos >= 2) & (x >= x_star)
+            stop[2:] &= small[1:-1] & small[:-2]
+            # A non-finite term leaves every partial sum from it on non-finite.
+            bad = new & (~np.isfinite(partial) | (x > x_star) & (kern > prev[1] * (1.0 + 1e-9)) & (kern > 1e-305))
+            hit = np.minimum.reduceat(np.where(stop | bad, at, n), off)  # first stop or fault
+            found = hit <= last
+            fail = found & bad[np.minimum(hit, n - 1)]
+            stop_here = found ^ fail
+            upto = np.minimum(hit, last)
+            carry[0, r] = partial[upto]
+            carry[1, r] = cum[last]
             count[r] += upto + 1 - off - old
-            if count[r].max() >= _MAX_TERMS:
+            read += n
+            if read >= _MAX_TERMS and count.max() >= _MAX_TERMS:
                 raise _over_budget(count.max(), s, beta)
             done = stop_here | (got == old)  # stopped, or the stream has ended
             j = upto[done]
-            tail[r[done]] = _tail(x, kern, cum, j, np.maximum(j - _WINDOW + 1, off[done]), beta)
+            if j.size:
+                tail[r[done]] = _tail(x, kern, cum, j, np.maximum(j - _WINDOW + 1, off[done]), beta)
             stopped[r] = stop_here
             failed[r] = fail
-            weight[r] = cum[last]
             going[i:k] = ~(done | fail)
             i = k
         want[live] = np.minimum(2 * want[live], _BLOCK)
         live = live[going]
-    return value, tail, count, stopped, failed
+    return carry[0], tail, count, stopped, failed
 
 
-def _single(s: float, beta: float, tol: float, source, first: int):
+def _single(s: float, beta: float, tol: float, source, first: float):
     """One stream through _sweep: (value, tail bound, terms, stopped by the rule)."""
     value, tail, count, stopped, failed = _sweep(s, beta, tol, source, np.array([first]))
     if failed[0]:
@@ -314,14 +313,23 @@ def _single(s: float, beta: float, tol: float, source, first: int):
     return float(value[0]), float(tail[0]), int(count[0]), bool(stopped[0])
 
 
-def _row_source(s: float, beta: float, alphas: np.ndarray, B: float):
-    """Rows x = alpha_n * m, m = 1, 2, ..., with weights cos(2 pi m B)."""
+def _row_source(s: float, beta: float, alphas: np.ndarray, B: float, head=None):
+    """Rows x = alpha_n * m, m = 1, 2, ..., with weights cos(2 pi m B).
+
+    head, if given, receives each row's kernel at m = 1, E(alpha_n), from the
+    block that starts the row.
+    """
 
     def source(starts, lengths, live):
-        n = int(lengths.sum())
-        m = np.arange(1.0, n + 1.0) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        x = np.repeat(alphas[live], lengths) * m
+        ends = lengths.cumsum()
+        n = int(ends[-1])
+        off = ends - lengths
+        m = np.arange(1.0, n + 1.0) + (starts - off).repeat(lengths)
+        x = alphas[live].repeat(lengths) * m
         kern = _envelope(s, beta, x)
+        if head is not None:
+            fresh = starts == 0
+            head[live[fresh]] = kern[off[fresh]]
         term = kern * np.cos((2.0 * math.pi * B) * m) if B != 0.0 else kern
         return x, kern, np.ones(n), term, lengths
 
@@ -378,7 +386,7 @@ def sum_g(d: int, s: float, beta: float, tol: Optional[float] = None) -> EvalRes
     # r_d(k) >= 2. |S| often carries that weight too, and then the rule stops far
     # sooner, so the first block ends 3 nodes past the prediction but by 2 reach
     # and by _BLOCK shells.
-    need = min(float(_need(-s, beta, tol, 1.0, math.log(2.0) + 2.0 * s * math.log(beta))), 2.0 * reach)
+    need = min(_need(-s, beta, tol, 1.0, math.log(2.0) + 2.0 * s * math.log(beta)), 2.0 * reach)
     grow(min(math.ceil((need + 3.0) ** 2), _BLOCK))
     with np.errstate(all="ignore"):
         value, err, terms, _ = _single(s, beta, tol, source, ks.size)
@@ -404,92 +412,64 @@ def sum_f(
         raise DomainError(f"model must be a ManifoldModel, got {type(model).__name__}")
     reach = _reach(s, beta, tol)
     spectrum = model.eigenvalues()
-    ended = False
     alphas, mults = array("d"), array("d")  # the spectrum drawn so far
-    draws = [0]  # first row of each budget draw
-    extent = reach  # node bound of the last budget draw
-    checked = 0  # budget draws passed
-    refused = None  # terms needed by a draw over budget
+    ended = False
+    need = 0  # inner terms the rows drawn need, at ceil(reach/alpha_n) + 2 a row
     spent = 0  # inner terms used by the rows summed so far
-    # Per summed row: outer kernel, outer term, inner terms used, weighted tail
-    # bound; the first `done` columns hold them.
-    summed = np.zeros((4, _ROWS))
-    done = 0
+    # Per summed row: outer kernel, outer term, inner terms used, weighted tail bound.
+    summed = np.zeros((4, 0))
 
     def draw(n, node=math.inf):
-        """Draw the spectrum until it holds n eigenvalues or one past node, or ends."""
-        nonlocal ended, extent
-        while not ended and len(alphas) < n and (not alphas or alphas[-1] <= node):
-            pair = next(spectrum, None)
-            ended = pair is None
-            if pair is not None:
-                size = len(alphas) - draws[-1]
-                if alphas and (size >= _ROWS or pair[0] > extent):
-                    extent += reach / 4.0 if size < _ROWS else 0.0
-                    draws.append(len(alphas))
-                alphas.append(pair[0])
-                mults.append(pair[1])
-
-    def next_draw():
-        return draws[checked] if checked < len(draws) else len(alphas)
-
-    def over(terms):
-        """Whether the next budget draw needs over _MAX_TERMS: terms + reach/alpha_n + 2 a row."""
-        nonlocal checked, refused
-        if len(draws) == checked + 1:  # draw the rest of the last budget draw
-            draw(draws[-1] + _ROWS + 1, extent)
-        end = draws[checked + 1] if len(draws) > checked + 1 else len(alphas)
-        need = terms + float(np.sum(np.ceil(reach / np.array(alphas[draws[checked]:end])) + 2.0))
-        if need > _MAX_TERMS:
-            refused = need
-            return True
-        checked += 1
-        return False
+        """Draw the spectrum until it holds n eigenvalues or one past node, or
+        ends; refuse as soon as the rows drawn need over _MAX_TERMS terms."""
+        nonlocal ended, need
+        if ended or len(alphas) >= n or (alphas and alphas[-1] > node):
+            return
+        for alpha, mult in spectrum:
+            alphas.append(alpha)
+            mults.append(mult)
+            need += math.ceil(reach / alpha) + 2
+            if need > _MAX_TERMS:
+                raise _over_budget(need, s, beta)
+            if len(alphas) >= n or alpha > node:
+                return
+        ended = True
 
     def sum_rows(c0, c1):
         """Outer kernel, outer term, inner terms and weighted tail of rows c0..c1-1."""
         a, mult = np.array(alphas[c0:c1]), np.array(mults[c0:c1])
-        first = _need(s, beta, tol, a) / a + 3.0
-        vals, tails, counts, _, failed = _sweep(s, beta, tol, _row_source(s, beta, a, params.B), first)
-        weight = mult * a ** (-2.0 * s)
-        kern = a ** (-2.0 * s) * _envelope(s, beta, a) / -np.expm1(-2.0 * beta * a)
+        head = np.empty(a.size)
+        # Rows of wider spacing stop sooner: the first row's prediction covers them all.
+        first = _need(s, beta, tol, a[0]) / a + 3.0
+        vals, tails, counts, _, failed = _sweep(s, beta, tol, _row_source(s, beta, a, B, head), first)
+        power = a ** (-2.0 * s)
+        weight = mult * power
+        kern = power * head / -np.expm1(-2.0 * beta * a)
         return np.array([kern, np.where(failed, np.nan, weight * vals), counts, weight * tails])
 
     def source(starts, lengths, live):
-        nonlocal summed, done, spent
-        if refused is not None:
-            raise _over_budget(refused, s, beta)
-        first_new = done
-        draw(int(starts[0] + lengths[0]))
-        end = min(int(starts[0] + lengths[0]), len(alphas))
-        while refused is None and done < end:
-            c1 = min(end, done + _ROWS)
-            if next_draw() == done and over(spent):
-                if done == first_new:
-                    raise _over_budget(refused, s, beta)
-                break
-            new = sum_rows(done, c1)
-            # A budget draw starting inside the chunk counts the rows before it.
-            while refused is None and next_draw() < c1:
-                over(spent + int(new[2, :next_draw() - done].sum()))
-            new = new[:, :(next_draw() if refused is not None else c1) - done]
-            if done + new.shape[1] > summed.shape[1]:
-                summed = np.concatenate((summed, np.zeros_like(summed)), axis=1)
-            summed[:, done:done + new.shape[1]] = new
-            done += new.shape[1]
-            spent += int(new[2].sum())
-        kern, term = summed[:2, starts[0]:done]
-        return (np.array(alphas[starts[0]:done]), kern, np.array(mults[starts[0]:done]), term,
-                np.array([done - starts[0]]))
+        nonlocal summed, spent
+        lo, end = int(starts[0]), int(starts[0] + lengths[0])
+        draw(end)
+        end = min(end, len(alphas))
+        fresh = [summed]
+        for c0 in range(summed.shape[1], end, _ROWS):
+            fresh.append(sum_rows(c0, min(end, c0 + _ROWS)))
+            spent += int(fresh[-1][2].sum())
+            if spent > _MAX_TERMS:
+                raise _over_budget(spent, s, beta)
+        summed = np.concatenate(fresh, axis=1)
+        kern, term = summed[:2, lo:end]
+        return np.array(alphas[lo:end]), kern, np.array(mults[lo:end]), term, np.array([end - lo])
 
-    draw(1)
+    draw(math.inf, reach)
     # The outer kernel is mult_n beta^{2s} E(alpha_n) at order -s, over
     # 1 - e^{-2 alpha_n beta}. As for g, the first block ends 3 rows past the
     # prediction but by 2 reach and by _ROWS rows.
-    need = min(float(_need(-s, beta, tol, 1.0, math.log(mults[0]) + 2.0 * s * math.log(beta))), 2.0 * reach)
-    draw(_ROWS, need)
+    node = min(_need(-s, beta, tol, 1.0, math.log(mults[0]) + 2.0 * s * math.log(beta)), 2.0 * reach)
+    draw(_ROWS, node)
     with np.errstate(all="ignore"):
-        first = len(alphas) - (alphas[-1] > need) + 3
+        first = min(bisect.bisect_right(alphas, node), _ROWS) + 3
         value, err, used, stopped = _single(s, beta, tol, source, first)
     method = "direct_f" if stopped or not isinstance(model, TableModel) else "direct_f_truncated"
     return EvalResult(value, err + float(summed[3, :used].sum()), int(summed[2, :used].sum()), method)

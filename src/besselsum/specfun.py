@@ -149,7 +149,7 @@ def bessel_k_many(nu: float, xs) -> np.ndarray:
     small x overflows to inf: callers check finiteness.
     """
     xs = np.asarray(xs, dtype=float)
-    if not np.all(np.isfinite(xs)) or np.any(xs <= 0.0):
+    if xs.size and not (xs.min() > 0.0 and xs.max() < math.inf):
         raise DomainError("bessel_k requires finite x > 0")
     return _sp.kv(abs(float(nu)), xs)
 

@@ -258,7 +258,7 @@ def test_row_does_not_depend_on_the_rows_beside_it():
     # one block, a row's partial sums must not carry row 1's rounding.
     s, beta, tol = -5.0, 0.01, de.DEFAULT_TOL
     a = np.arange(1.0, 65.0)
-    together = de._sweep(s, beta, tol, de._row_source(s, beta, a, 0.0), de._need(s, beta, tol, a) / a + 3.0)
+    together = de._sweep(s, beta, tol, de._row_source(s, beta, a, 0.0), de._need(s, beta, tol, a[0]) / a + 3.0)
     for i in (0, 39, 63):
         alone = de._sweep(s, beta, tol, de._row_source(s, beta, a[i:i + 1], 0.0), np.array([3.0]))
         assert (together[2][i], together[1][i]) == (alone[2][0], alone[1][0])

@@ -439,6 +439,29 @@ class TestMassSeries:
             ap.mass_sum(m, 1.0, 4)
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("m", [1.0, 0.1])
+    def test_non_finite_term_refused(self, m):
+        # At D = 340, K_169(n L m) overflows for the first n.
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            ap.mass_sum(m, 1.0, 340)
+
+    def test_expansion_past_double_range_refused(self):
+        with pytest.raises(DomainError, match="double range"):
+            ap.mass_expansion(1.0, 1.0, 340, 8.0)
+
+    def test_first_block_holds_the_stop(self, monkeypatch):
+        # The h0 predictor sizes the first block: over direct-scan's range of
+        # masses, lengths and dimensions, one K_nu call per sum.
+        calls = []
+        bessel_k_many = sf.bessel_k_many
+        monkeypatch.setattr(sf, "bessel_k_many", lambda nu, x: calls.append(1) or bessel_k_many(nu, x))
+        for m in np.geomspace(0.01, 3.0, 9):
+            for L in (0.5, 1.1, 2.0):
+                for D in (2, 3, 4, 5, 6):
+                    calls.clear()
+                    ap.mass_sum(m, L, D)
+                    assert len(calls) == 1, (m, L, D)
+
     def test_expansion_matches_direct_D4(self):
         m, L = 0.2, 1.0
         ex = ap.mass_expansion(m, L, 4, 8.0)

@@ -414,6 +414,11 @@ class TestMass:
         assert out == ""
         assert err.startswith("besselsum: ConvergenceError")
 
+    def test_mass_past_double_range_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["mass", "--m", "1", "--L", "1", "--D", "340"])
+        assert (code, out) == (2, "")
+        assert err.startswith("besselsum: ConvergenceError")
+
 
 # ---------------------------------------------------------------------------
 # models

@@ -229,6 +229,40 @@ def test_f_many_rows_in_bounded_blocks(monkeypatch):
     assert abs(res.value - want) < 1e-10 * want
 
 
+def _count_k_calls(monkeypatch):
+    calls = []
+    bessel_k_many = de.sf.bessel_k_many
+    monkeypatch.setattr(de.sf, "bessel_k_many", lambda nu, x: calls.append(1) or bessel_k_many(nu, x))
+    return calls
+
+
+# Orders as direct-scan draws them: negative, fractional and integer.
+_SCAN_S = (-2.4, -1.3, -0.1, 0.05, 0.3, 1.7, 3.4, -2.0, 0.0, 1.0, 3.0)
+
+
+def test_h_sums_make_one_k_call(monkeypatch):
+    # Each first block is sized to hold the stop, so one pass evaluates K_nu.
+    calls = _count_k_calls(monkeypatch)
+    for beta in np.geomspace(1e-3, 3.0, 9):
+        for s in _SCAN_S:
+            for B in (0.0, 0.27, 0.61):
+                calls.clear()
+                de.sum_h(SeriesParams(s, beta, B))
+                assert len(calls) == 1, (s, beta, B)
+
+
+def test_f_sums_make_one_k_call(monkeypatch):
+    # The rows' pass gives the outer kernel too: E(alpha_n) is each row's head.
+    calls = _count_k_calls(monkeypatch)
+    for model in (CIRCLE, mf.torus_model(1)):
+        for beta in np.geomspace(0.05, 3.0, 7):
+            for s in _SCAN_S:
+                for B in (0.0, 0.27):
+                    calls.clear()
+                    de.sum_f(model, s, beta, B)
+                    assert len(calls) == 1, (model, s, beta, B)
+
+
 _S_GRID = (-2.3, -1.0, 0.7, 2.0)  # negative, negative integer, fractional, integer
 _LAYOUT_GRID = (
     [("h", lambda s=s, b=b, B=B: de.sum_h(SeriesParams(s, b, B)))

@@ -206,19 +206,19 @@ def _tail(x, kern, cum, j, lo, beta: float) -> np.ndarray:
 
 
 def _run_sums(a: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Sums of the rows of a over each run up to every element, pos[i] being
-    element i's place in its run.
+    """Sums of a over each run up to every element, pos[i] being element i's
+    place in its run.
 
     A flat cumsum would carry the rounding of a large run into every smaller
     run after it, so several runs are summed apart, by doubling steps
     (Hillis-Steele): each sum then rounds only over its own run's elements.
     """
     if pos[-1] == pos.size - 1:  # a single run
-        return a.cumsum(axis=-1)
+        return a.cumsum()
     c = a.copy()
     step, top = 1, pos.max()
     while step <= top:
-        c[:, step:] += np.where(pos[step:] >= step, c[:, :-step], 0.0)
+        c[step:] += np.where(pos[step:] >= step, c[:-step], 0.0)
         step *= 2
     return c
 
@@ -265,10 +265,13 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
             at = np.arange(n)
             pos = at - off.repeat(got)
             new = pos >= old.repeat(got)
-            sums = _run_sums(np.array((term, wmax)), pos)
             # Partial sums and weights carried in, less the re-read elements'.
-            base = carry[:, r] - np.where(old > 0, sums[:, off + old - 1], 0.0)
-            partial, cum = base.repeat(got, axis=1) + sums
+            # Weights are counts, so a flat cumsum of them stays exact.
+            sums = np.array((_run_sums(term, pos), wmax.cumsum()))
+            back = sums[:, off + old - 1]
+            back[0, old == 0] = 0.0
+            back[1, off + old == 0] = 0.0
+            partial, cum = (carry[:, r] - back).repeat(got, axis=1) + sums
             # A run's first element gets x = 0 and no kernel before it, as at a
             # stream's start. Were it re-read, the rule looks back at it only if
             # the stream is at most 2 elements old, so it is the stream's start.

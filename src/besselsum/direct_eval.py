@@ -27,32 +27,35 @@ x*, met before the stop raises ConvergenceError: it signals a numerical
 problem, not a slowly converging sum.
 
 Blocks: _sweep sums many streams at once in ragged blocks: one flat array
-holds a run of each live stream, at most 2^16 elements per K_nu call, and
-each run's partial sums are taken apart from the others'. A stream's first
-block reaches just past the node where _need predicts the rule stops it,
-w E(x) = tol (1 - e^{-2 beta dx}) with dx the node spacing, E from the
-large-argument form of K_s (DLMF 10.40.2) and y = 2 x beta >= |s| + 2.
-That is the threshold for |S| <= 1; a larger sum stops sooner. So most
-streams take one K_nu evaluation over about the terms they use. The
-prediction only sizes blocks; the rule decides the stop. Where the weight w
-is beta^{2s} (g, and f's outer stream), a large w often comes with a large
-|S|, so those first blocks end by 2 reach (below), by 2^16 shells for g and by
-1024 rows for f. A stream not yet stopped gets a block of twice as many new
-elements, which starts by re-reading its last 33 elements, the tail bound's
-window. So nothing but the partial sums passes between blocks, and the
-result does not depend on the block layout. f sums its rows up to 1024 at a
-time, as the outer stream asks for them. g doubles its shell array only once
-a block has read every shell in it, so past its first block the array stays
-below twice the largest shell read.
+holds a run of each live stream, at most 2^16 elements per K_nu call. A pass
+over a block costs little more than its K_nu evaluations: a run of one stream
+keeps its bookkeeping in scalars, and a run of many takes each stream's
+partial sums apart from the others' (the weights are counts, summed flat).
+Both do the same arithmetic. A stream's first block reaches just past the
+node where _need predicts the rule stops it, w E(x) = tol (1 - e^{-2 beta dx})
+with dx the node spacing, E from the large-argument form of K_s (DLMF
+10.40.2) and y = 2 x beta >= |s| + 2. That is the threshold for |S| <= 1; a
+larger sum stops sooner. So a sum most often takes one K_nu evaluation over
+about the terms it uses. The prediction only sizes blocks; the rule decides
+the stop. Where the weight w is beta^{2s} (g, and f's outer stream), a large
+w often comes with a large |S|, so those first blocks end by 2 reach
+(below), by 2^16 shells for g and by 1024 rows for f. A stream not yet
+stopped gets a block of twice as many new elements, which starts by
+re-reading its last 33 elements, the tail bound's window. So nothing but the
+partial sums passes between blocks, and the result does not depend on the
+block layout. f sums its rows up to 1024 at a time, as the outer stream asks
+for them, all sized by the first row's prediction (a wider spacing stops
+sooner). Each row's first element is E(alpha_n), so the rows' pass gives the
+outer kernel too. g doubles its shell array only once a block has read every
+shell in it, so past its first block the array stays below twice the
+largest shell read.
 
 Budget: a sum predicted to need more than 10^7 terms raises ConvergenceError
 at once, from reach = (|s| + 2 + ln(1/tol))/(2 beta): h before it starts
-(reach + 3 terms), g likewise (reach^2 + 3 shells). f counts its eigenvalues
-in draws of at most 1024, the first up to reach and each next one reach/4
-further; a draw whose rows would bring the terms used to over 10^7, at
-reach/alpha_n + 2 a row, is refused once the outer stream reaches its first
-row (the first draw before any row is summed). So is any stream that passes
-10^7 terms.
+(reach + 3 terms), g likewise (reach^2 + 3 shells). f draws its eigenvalues
+up to reach before it sums a row and refuses as soon as the rows drawn need
+over 10^7 terms, at ceil(reach/alpha_n) + 2 a row; eigenvalues drawn later
+count too. A stream, or f's rows together, past 10^7 terms used is refused.
 
 Tail bound (error_estimate): a geometric series fitted to the last 33
 elements (see _tail), which measures how fast the weights accumulate as well
@@ -167,9 +170,9 @@ def _need(s: float, beta: float, tol: float, spacing: float, log_w: float = 0.0)
     K_s (DLMF 10.40.2, three correction terms):
     E ~ sqrt(pi/2) 2^-s y^(s-1/2) e^-y (1 + a_1/y + a_2/y^2 + a_3/y^3),
     a_k = a_{k-1} (4s^2 - (2k-1)^2)/(8k), by a fixed-point step and three
-    Newton steps. That is the rule's threshold for |S| <= 1; a larger sum
-    stops sooner. It only sizes first blocks. A prediction one element short
-    costs a second K_nu call: with two correction terms, h(3.4, 0.001, B) is.
+    Newton steps: the rule's threshold for |S| <= 1. It only sizes first
+    blocks; one element short costs a second K_nu call (h(3.4, 0.001, B) with
+    two correction terms).
     """
     rhs = math.log(tol * -math.expm1(-2.0 * beta * spacing))
     rhs += -log_w - 0.5 * math.log(math.pi / 2.0) + s * math.log(2.0)
@@ -259,19 +262,25 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
             r = live[i:k]
             x, kern, wmax, term, got = source(start[i:k], size[i:k], r)
             n = x.size
-            last = got.cumsum() - 1
-            off = last - got + 1
-            old = had[i:k] - start[i:k]  # elements re-read
             at = np.arange(n)
-            pos = at - off.repeat(got)
-            new = pos >= old.repeat(got)
-            # Partial sums and weights carried in, less the re-read elements'.
-            # Weights are counts, so a flat cumsum of them stays exact.
-            sums = np.array((_run_sums(term, pos), wmax.cumsum()))
-            back = sums[:, off + old - 1]
-            back[0, old == 0] = 0.0
-            back[1, off + old == 0] = 0.0
-            partial, cum = (carry[:, r] - back).repeat(got, axis=1) + sums
+            one = k == i + 1  # one stream: the run is the stream, its bookkeeping scalars
+            if one:
+                q, old, off = r[0], int(had[i] - start[i]), [0]
+                pos, new = at, at >= old
+                psum, cum = term.cumsum(), wmax.cumsum()
+                partial = (carry[0, q] - (psum[old - 1] if old else 0.0)) + psum
+                cum = (carry[1, q] - (cum[old - 1] if old else 0.0)) + cum
+            else:
+                last = got.cumsum() - 1
+                off = last - got + 1
+                old = had[i:k] - start[i:k]  # elements re-read
+                pos = at - off.repeat(got)
+                new = pos >= old.repeat(got)
+                # Partial sums and weights carried in, less the re-read elements'.
+                # Weights are counts, so a flat cumsum of them stays exact.
+                sums = np.array((_run_sums(term, pos), wmax.cumsum()))
+                back = np.where([old > 0, off + old > 0], sums[:, off + old - 1], 0.0)
+                partial, cum = (carry[:, r] - back).repeat(got, axis=1) + sums
             # A run's first element gets x = 0 and no kernel before it, as at a
             # stream's start. Were it re-read, the rule looks back at it only if
             # the stream is at most 2 elements old, so it is the stream's start.
@@ -284,24 +293,36 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
             stop[2:] &= small[1:-1] & small[:-2]
             # A non-finite term leaves every partial sum from it on non-finite.
             bad = new & (~np.isfinite(partial) | (x > x_star) & (kern > prev[1] * (1.0 + 1e-9)) & (kern > 1e-305))
-            hit = np.minimum.reduceat(np.where(stop | bad, at, n), off)  # first stop or fault
-            found = hit <= last
-            fail = found & bad[np.minimum(hit, n - 1)]
-            stop_here = found ^ fail
-            upto = np.minimum(hit, last)
-            carry[0, r] = partial[upto]
-            carry[1, r] = cum[last]
-            count[r] += upto + 1 - off - old
             read += n
+            if one:
+                hits = np.flatnonzero(stop | bad)  # first stop or fault
+                upto = int(hits[0]) if hits.size else n - 1
+                fail = hits.size > 0 and bool(bad[upto])
+                stop_here = hits.size > 0 and not fail
+                carry[:, q] = partial[upto], cum[-1]
+                count[q] += upto + 1 - old
+                if stop_here or n == old:  # stopped, or the stream has ended
+                    j = at[upto:upto + 1]
+                    tail[q] = _tail(x, kern, cum, j, np.maximum(j - _WINDOW + 1, 0), beta)[0]
+                stopped[q], failed[q], going[i] = stop_here, fail, not (stop_here or n == old or fail)
+            else:
+                hit = np.minimum.reduceat(np.where(stop | bad, at, n), off)  # first stop or fault
+                found = hit <= last
+                fail = found & bad[np.minimum(hit, n - 1)]
+                stop_here = found ^ fail
+                upto = np.minimum(hit, last)
+                carry[0, r] = partial[upto]
+                carry[1, r] = cum[last]
+                count[r] += upto + 1 - off - old
+                done = stop_here | (got == old)  # stopped, or the stream has ended
+                j = upto[done]
+                if j.size:
+                    tail[r[done]] = _tail(x, kern, cum, j, np.maximum(j - _WINDOW + 1, off[done]), beta)
+                stopped[r] = stop_here
+                failed[r] = fail
+                going[i:k] = ~(done | fail)
             if read >= _MAX_TERMS and count.max() >= _MAX_TERMS:
                 raise _over_budget(count.max(), s, beta)
-            done = stop_here | (got == old)  # stopped, or the stream has ended
-            j = upto[done]
-            if j.size:
-                tail[r[done]] = _tail(x, kern, cum, j, np.maximum(j - _WINDOW + 1, off[done]), beta)
-            stopped[r] = stop_here
-            failed[r] = fail
-            going[i:k] = ~(done | fail)
             i = k
         want[live] = np.minimum(2 * want[live], _BLOCK)
         live = live[going]
@@ -317,11 +338,8 @@ def _single(s: float, beta: float, tol: float, source, first: float):
 
 
 def _row_source(s: float, beta: float, alphas: np.ndarray, B: float, head=None):
-    """Rows x = alpha_n * m, m = 1, 2, ..., with weights cos(2 pi m B).
-
-    head, if given, receives each row's kernel at m = 1, E(alpha_n), from the
-    block that starts the row.
-    """
+    """Rows x = alpha_n * m, m = 1, 2, ..., with weights cos(2 pi m B); head,
+    if given, receives each row's first kernel E(alpha_n) as the row starts."""
 
     def source(starts, lengths, live):
         ends = lengths.cumsum()
@@ -416,7 +434,6 @@ def sum_f(
     reach = _reach(s, beta, tol)
     spectrum = model.eigenvalues()
     alphas, mults = array("d"), array("d")  # the spectrum drawn so far
-    ended = False
     need = 0  # inner terms the rows drawn need, at ceil(reach/alpha_n) + 2 a row
     spent = 0  # inner terms used by the rows summed so far
     # Per summed row: outer kernel, outer term, inner terms used, weighted tail bound.
@@ -425,8 +442,8 @@ def sum_f(
     def draw(n, node=math.inf):
         """Draw the spectrum until it holds n eigenvalues or one past node, or
         ends; refuse as soon as the rows drawn need over _MAX_TERMS terms."""
-        nonlocal ended, need
-        if ended or len(alphas) >= n or (alphas and alphas[-1] > node):
+        nonlocal need
+        if len(alphas) >= n or (alphas and alphas[-1] > node):
             return
         for alpha, mult in spectrum:
             alphas.append(alpha)
@@ -436,7 +453,6 @@ def sum_f(
                 raise _over_budget(need, s, beta)
             if len(alphas) >= n or alpha > node:
                 return
-        ended = True
 
     def sum_rows(c0, c1):
         """Outer kernel, outer term, inner terms and weighted tail of rows c0..c1-1."""

@@ -289,14 +289,17 @@ def test_block_layout_does_not_change_the_result(monkeypatch):
 
 def test_row_does_not_depend_on_the_rows_beside_it():
     # Row 1 sums to about 1e21, rows 40-64 to about 1e5 or less: summed in
-    # one block, a row's partial sums must not carry row 1's rounding.
-    s, beta, tol = -5.0, 0.01, de.DEFAULT_TOL
+    # one block, a row's partial sums must not carry row 1's rounding. A row
+    # alone takes _sweep's one-stream path, over several blocks from a first
+    # of 3 elements; beside the others it takes the path for many streams.
+    tol = de.DEFAULT_TOL
     a = np.arange(1.0, 65.0)
-    together = de._sweep(s, beta, tol, de._row_source(s, beta, a, 0.0), de._need(s, beta, tol, a[0]) / a + 3.0)
-    for i in (0, 39, 63):
-        alone = de._sweep(s, beta, tol, de._row_source(s, beta, a[i:i + 1], 0.0), np.array([3.0]))
-        assert (together[2][i], together[1][i]) == (alone[2][0], alone[1][0])
-        assert _rel(together[0][i], alone[0][0]) < 1e-15
+    for s, beta, B in ((-5.0, 0.01, 0.0), (0.7, 0.02, 0.3)):
+        together = de._sweep(s, beta, tol, de._row_source(s, beta, a, B), de._need(s, beta, tol, a[0]) / a + 3.0)
+        for i in (0, 39, 63):
+            alone = de._sweep(s, beta, tol, de._row_source(s, beta, a[i:i + 1], B), np.array([3.0]))
+            assert (together[2][i], together[1][i]) == (alone[2][0], alone[1][0])
+            assert _rel(together[0][i], alone[0][0]) < 1e-15
 
 
 @pytest.mark.parametrize("d, s, beta", [(1, -12.0, 0.02), (2, -5.0, 0.05), (3, -3.0, 0.1)])

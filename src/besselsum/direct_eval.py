@@ -301,10 +301,11 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
                 stop_here = hits.size > 0 and not fail
                 carry[:, q] = partial[upto], cum[-1]
                 count[q] += upto + 1 - old
-                if stop_here or n == old:  # stopped, or the stream has ended
+                done = stop_here or n == old  # stopped, or the stream has ended
+                if done:
                     j = at[upto:upto + 1]
                     tail[q] = _tail(x, kern, cum, j, np.maximum(j - _WINDOW + 1, 0), beta)[0]
-                stopped[q], failed[q], going[i] = stop_here, fail, not (stop_here or n == old or fail)
+                stopped[q], failed[q], going[i] = stop_here, fail, not (done or fail)
             else:
                 hit = np.minimum.reduceat(np.where(stop | bad, at, n), off)  # first stop or fault
                 found = hit <= last

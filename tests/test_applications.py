@@ -445,9 +445,12 @@ class TestMassSeries:
         with pytest.raises(ConvergenceError, match="non-finite"):
             ap.mass_sum(m, 1.0, 340)
 
-    def test_expansion_past_double_range_refused(self):
+    @pytest.mark.parametrize("L, D, order", [(1.0, 340, 8.0), (3000.0, 4, 100.0)])
+    def test_expansion_past_double_range_refused(self, L, D, order):
+        # Finite h0 coefficients leave double range once rescaled: at D = 340
+        # (s = -169), and at L = 3000, where (L/2)^98 alone overflows.
         with pytest.raises(DomainError, match="double range"):
-            ap.mass_expansion(1.0, 1.0, 340, 8.0)
+            ap.mass_expansion(1.0, L, D, order)
 
     def test_first_block_holds_the_stop(self, monkeypatch):
         # The h0 predictor sizes the first block: over direct-scan's range of

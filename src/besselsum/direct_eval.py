@@ -171,8 +171,8 @@ def _need(s: float, beta: float, tol: float, spacing: float, log_w: float = 0.0)
     E ~ sqrt(pi/2) 2^-s y^(s-1/2) e^-y (1 + a_1/y + a_2/y^2 + a_3/y^3),
     a_k = a_{k-1} (4s^2 - (2k-1)^2)/(8k), by a fixed-point step and three
     Newton steps: the rule's threshold for |S| <= 1. It only sizes first
-    blocks; one element short costs a second K_nu call (h(3.4, 0.001, B) with
-    two correction terms).
+    blocks. One element short costs a second K_nu call, as two correction
+    terms cost h(3.4, 0.001, B != 0).
     """
     rhs = math.log(tol * -math.expm1(-2.0 * beta * spacing))
     rhs += -log_w - 0.5 * math.log(math.pi / 2.0) + s * math.log(2.0)
@@ -238,8 +238,8 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
     range); each later one re-reads its last _WINDOW and adds twice as many
     new ones as the block before. A source call holds at most _BLOCK elements.
 
-    Returns per-stream arrays value, tail bound, terms used, stopped, failed;
-    raises ConvergenceError when a stream's terms pass _MAX_TERMS.
+    Returns per-stream arrays value (the partial sum at the last term used),
+    tail bound, terms used, stopped, failed; raises ConvergenceError past _MAX_TERMS.
     """
     rows = len(first)
     x_star = (abs(s) + 2.0) / (2.0 * beta)
@@ -267,9 +267,9 @@ def _sweep(s: float, beta: float, tol: float, source, first: np.ndarray):
             if one:
                 q, old, off = r[0], int(had[i] - start[i]), [0]
                 pos, new = at, at >= old
-                psum, cum = term.cumsum(), wmax.cumsum()
+                psum, wsum = term.cumsum(), wmax.cumsum()
                 partial = (carry[0, q] - (psum[old - 1] if old else 0.0)) + psum
-                cum = (carry[1, q] - (cum[old - 1] if old else 0.0)) + cum
+                cum = (carry[1, q] - (wsum[old - 1] if old else 0.0)) + wsum
             else:
                 last = got.cumsum() - 1
                 off = last - got + 1
@@ -428,7 +428,7 @@ def sum_f(
     bounds a row. A TableModel whose list runs out before the rule stops the
     outer stream gets method "direct_f_truncated".
     """
-    params = SeriesParams(s=s, beta=beta, B=B, model=model)
+    SeriesParams(s=s, beta=beta, B=B, model=model)  # validates the arguments
     tol = _check_tol(tol)
     if not isinstance(model, ManifoldModel):
         raise DomainError(f"model must be a ManifoldModel, got {type(model).__name__}")

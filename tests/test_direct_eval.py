@@ -1,20 +1,27 @@
 """Direct Bessel-K summation against closed forms and brute-force oracles."""
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import besselsum.direct_eval as de
 import besselsum.manifolds as mf
 from besselsum.direct_eval import SeriesParams
 from besselsum.asymptotics import expand_f0
 from besselsum.errors import ConvergenceError, DomainError
+from util import count_k
 
 CIRCLE = mf.circle_model()
 TORUS2 = mf.torus_model(2)
+# Nodes coincide: 2 = 1*2 = 2*1, 6 = 1*6 = 2*3 = 3*2, ...; sqrt(10) m meets none.
+TABLE = mf.TableModel(D=2, alphas=[1.0, 2.0, 3.0, math.sqrt(10.0)], mults=[1.0, 2.0, 1.0, 3.0],
+                      heat={0: math.pi, 1: -1.0})
 
 
 def _rel(got, want):
@@ -142,15 +149,42 @@ def test_f_table_model_truncation_flagged():
     assert res.error_estimate > 0.0
 
 
+@pytest.mark.parametrize("B", [0.0, 0.37])
+def test_f_table_model_coinciding_nodes(B):
+    # Pairs with equal alpha_n m merge into one node of the stream; the sum
+    # must still equal the rows summed one by one.
+    s, beta = 0.3, 0.5
+    want = math.fsum(
+        mult * a ** (-2 * s) * math.fsum(np.cos(2 * np.pi * B * m) * (m * a * beta) ** s
+                                         * sps.kv(s, 2 * a * m * beta))
+        for a, mult, m in ((a, mult, np.arange(1, 80)) for a, mult in TABLE.eigenvalues())
+    )
+    res = de.sum_f(TABLE, s, beta, B)
+    assert abs(res.value - want) <= res.error_estimate + 1e-13 * abs(want)
+    assert res.method == "direct_f_truncated"
+
+
 # ---------------------------------------------------------------------------
 # Error estimates bound the error, at large beta and on lattice spectra
 # ---------------------------------------------------------------------------
 
-def _within_estimate(res, terms):
-    """|value - ref| <= error_estimate + 1e-11 sum|terms|, ref a brute-force sum."""
+def _within_estimate(res, terms, rel=1e-11):
+    """|value - ref| <= error_estimate + rel sum|terms|, ref a brute-force sum."""
     terms = np.asarray(terms)
     ref = math.fsum(terms)
-    assert abs(res.value - ref) <= res.error_estimate + 1e-11 * math.fsum(np.abs(terms))
+    assert abs(res.value - ref) <= res.error_estimate + rel * math.fsum(np.abs(terms))
+
+
+def _f_terms(model, s, beta, B):
+    """Every term mult_n alpha_n^{-2s} cos(2 pi m B) E(alpha_n m) of f out to
+    where the kernel has fallen below e^{-44-4|s|}, row by row."""
+    xmax = (44.0 + 4.0 * abs(s)) / (2.0 * beta) + 3.0
+    a, mult = np.array(list(itertools.takewhile(lambda e: e[0] <= xmax, model.eigenvalues()))).T
+    per = (xmax / a).astype(int)
+    m = np.arange(1, per.sum() + 1) - (per.cumsum() - per).repeat(per)
+    a, mult = a.repeat(per), mult.repeat(per)
+    nu = s if abs(s) >= 1e-154 else 0.0  # kv is nan at subnormal orders; K_s = K_0 + O(s^2)
+    return mult * a ** (-2 * s) * np.cos(2 * np.pi * B * m) * (m * a * beta) ** s * sps.kv(nu, 2 * a * m * beta)
 
 
 @pytest.mark.parametrize("beta", [15.0, 150.0, 300.0])
@@ -199,6 +233,28 @@ def test_f_torus2_estimate_bounds_error():
     _within_estimate(de.sum_f(TORUS2, s, beta, 0.0), np.concatenate(terms))
 
 
+def test_f_phase_cancellation_does_not_stop_early():
+    # At B = 0.948 the signed weights sum_{n|k} cos(2 pi (k/n) B) cancel by
+    # chance at some k; a rule fed |w_k| for the envelope stops there, 1.2e-12
+    # off against an estimate of 1.5e-13.
+    s, beta, B = 0.0, 0.418, 0.948
+    _within_estimate(de.sum_f(CIRCLE, s, beta, B), _f_terms(CIRCLE, s, beta, B), 1e-13)
+
+
+_F_MODELS = {"circle": CIRCLE, "torus1": mf.torus_model(1), "torus2": TORUS2, "table": TABLE}
+
+
+@pytest.mark.parametrize("name", sorted(_F_MODELS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(s=st.floats(-2.5, 3.5), u=st.floats(0.0, 1.0),
+       B=st.one_of(st.just(0.0), st.floats(0.05, 0.95)))
+def test_f_matches_the_brute_double_sum(name, s, u, B):
+    beta = 0.05 * 60.0 ** u  # log-uniform on [0.05, 3]
+    model = _F_MODELS[name]
+    _within_estimate(de.sum_f(model, s, beta, B), _f_terms(model, s, beta, B), 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Bounded work: the term budget and the block size
 # ---------------------------------------------------------------------------
@@ -213,8 +269,8 @@ def test_f_over_budget_refused_at_once():
 
 
 def test_f_many_rows_in_bounded_blocks(monkeypatch):
-    # Some 1.5e5 eigenvalues lie within reach: they are summed a block of
-    # rows at a time, never more than _BLOCK kernel values at once.
+    # Some 1.5e5 eigenvalues lie within reach, and as many nodes: they are
+    # summed a block at a time, never more than _BLOCK kernel values at once.
     sizes = []
     envelope = de._envelope
 
@@ -229,20 +285,13 @@ def test_f_many_rows_in_bounded_blocks(monkeypatch):
     assert abs(res.value - want) < 1e-10 * want
 
 
-def _count_k_calls(monkeypatch):
-    calls = []
-    bessel_k_many = de.sf.bessel_k_many
-    monkeypatch.setattr(de.sf, "bessel_k_many", lambda nu, x: calls.append(1) or bessel_k_many(nu, x))
-    return calls
-
-
 # Orders as direct-scan draws them: negative, fractional and integer.
 _SCAN_S = (-2.4, -1.3, -0.1, 0.05, 0.3, 1.7, 3.4, -2.0, 0.0, 1.0, 3.0)
 
 
 def test_h_sums_make_one_k_call(monkeypatch):
     # Each first block is sized to hold the stop, so one pass evaluates K_nu.
-    calls = _count_k_calls(monkeypatch)
+    calls = count_k(monkeypatch)
     for beta in np.geomspace(1e-3, 3.0, 9):
         for s in _SCAN_S:
             for B in (0.0, 0.27, 0.61):
@@ -252,15 +301,30 @@ def test_h_sums_make_one_k_call(monkeypatch):
 
 
 def test_f_sums_make_one_k_call(monkeypatch):
-    # The rows' pass gives the outer kernel too: E(alpha_n) is each row's head.
-    calls = _count_k_calls(monkeypatch)
-    for model in (CIRCLE, mf.torus_model(1)):
-        for beta in np.geomspace(0.05, 3.0, 7):
+    # One stream over f's distinct nodes, its first block sized from their
+    # weights before any K_nu call, so one pass evaluates K_nu.
+    calls = count_k(monkeypatch)
+    for model, betas in ((CIRCLE, np.geomspace(0.05, 3.0, 7)), (mf.torus_model(1), np.geomspace(0.05, 3.0, 7)),
+                         (TORUS2, np.geomspace(0.1, 3.0, 6)), (TABLE, np.geomspace(0.05, 3.0, 7))):
+        for beta in betas:
             for s in _SCAN_S:
                 for B in (0.0, 0.27):
                     calls.clear()
                     de.sum_f(model, s, beta, B)
                     assert len(calls) == 1, (model, s, beta, B)
+
+
+def test_f_k_points_follow_the_nodes_used(monkeypatch):
+    # K_nu is evaluated once a node, and not far past the stop: evaluating it
+    # per pair (n, m) again, or a first block sized without the weights, fails.
+    points = count_k(monkeypatch)
+    for model in (CIRCLE, mf.torus_model(1)):
+        for beta in np.geomspace(0.05, 3.0, 7):
+            for s in _SCAN_S:
+                for B in (0.0, 0.27):
+                    points.clear()
+                    res = de.sum_f(model, s, beta, B)
+                    assert sum(points) <= 1.3 * res.terms_used + 3 * de._WINDOW, (model, s, beta, B)
 
 
 _S_GRID = (-2.3, -1.0, 0.7, 2.0)  # negative, negative integer, fractional, integer
@@ -285,21 +349,6 @@ def test_block_layout_does_not_change_the_result(monkeypatch):
         got = f()
         assert (got.terms_used, got.error_estimate) == (want.terms_used, want.error_estimate), family
         assert abs(got.value - want.value) <= 1e-13 * max(1.0, abs(want.value)), family
-
-
-def test_row_does_not_depend_on_the_rows_beside_it():
-    # Row 1 sums to about 1e21, rows 40-64 to about 1e5 or less: summed in
-    # one block, a row's partial sums must not carry row 1's rounding. A row
-    # alone takes _sweep's one-stream path, over several blocks from a first
-    # of 3 elements; beside the others it takes the path for many streams.
-    tol = de.DEFAULT_TOL
-    a = np.arange(1.0, 65.0)
-    for s, beta, B in ((-5.0, 0.01, 0.0), (0.7, 0.02, 0.3)):
-        together = de._sweep(s, beta, tol, de._row_source(s, beta, a, B), de._need(s, beta, tol, a[0]) / a + 3.0)
-        for i in (0, 39, 63):
-            alone = de._sweep(s, beta, tol, de._row_source(s, beta, a[i:i + 1], B), np.array([3.0]))
-            assert (together[2][i], together[1][i]) == (alone[2][0], alone[1][0])
-            assert _rel(together[0][i], alone[0][0]) < 1e-15
 
 
 @pytest.mark.parametrize("d, s, beta", [(1, -12.0, 0.02), (2, -5.0, 0.05), (3, -3.0, 0.1)])

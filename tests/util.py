@@ -3,6 +3,8 @@
 import functools
 import math
 
+import numpy as np
+
 from besselsum import asymptotics as asym
 from besselsum import direct_eval as de
 from besselsum import manifolds as mf
@@ -22,6 +24,16 @@ def term_at(expansion, power: float):
         if abs(t.power - power) < 1e-9:
             return t
     return asym.ExpansionTerm(power, 0.0, 0.0)
+
+
+def count_k(monkeypatch):
+    """Record the points of every specfun.bessel_k_many call the direct sums
+    make: len() of the list returned is the number of calls, sum() the points."""
+    points = []
+    bessel_k_many = de.sf.bessel_k_many
+    monkeypatch.setattr(de.sf, "bessel_k_many",
+                        lambda nu, x: points.append(np.size(x)) or bessel_k_many(nu, x))
+    return points
 
 
 # ---------------------------------------------------------------------------

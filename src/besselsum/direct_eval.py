@@ -427,7 +427,7 @@ def _nodes(model: ManifoldModel, s: float, B: float, lo: float, hi: float):
     base = (mult * q ** (-2.0 * s / p))[row]
     W = np.bincount(idx, base)
     w = np.bincount(idx, base * np.cos((2.0 * math.pi * B) * m)) if B != 0.0 else W
-    if q.dtype.kind == "i":  # the bins hit, as every weight is positive
+    if q.dtype.kind == "i":  # the bins hit: every weight is positive, or adds nothing
         node = np.flatnonzero(W)
         W, w, node = W[node], w[node], node + (k0 + 1)
     return node ** (1.0 / p), w, W
@@ -441,8 +441,8 @@ def sum_f(model: ManifoldModel, s: float, beta: float, B: float, tol: Optional[f
     the node the rule stops at gets method "direct_f_truncated".
 
     The envelope weight is V_x = max(W_x, rho dx), rho the weight W per unit x
-    over the span x_0 = alpha_1 up to x and dx the spacing before x; the tail
-    bound counts the running sum of V. Where the rows' weights differ by orders
+    over the span of length x_0 = alpha_1 that ends at x and dx the spacing
+    before x; the tail bound counts the running sum of V. Where the rows' weights differ by orders
     of magnitude (torus:d at s > 0), runs of light nodes lie between the heavy
     ones of the first row, and W alone would stop the stream inside one.
     """

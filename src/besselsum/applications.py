@@ -385,13 +385,13 @@ def _check_mass_args(m: float, L: float, D: int) -> Tuple[float, float, int]:
 def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalResult:
     """Direct evaluation of S(m) = sum_{n>=1} (m/(nL))^{D/2-1} K_{D/2-1}(nLm).
 
-    Independent single loop over n (no reuse of the h0 summation path) so it
-    can serve as an oracle for the h0-based identity S(2 beta/L) =
-    (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta). It stops at the direct sums'
-    rule: three terms in a row below tol * max(1, |S|) * (1 - e^{-Lm}), past
-    n* = (nu + 2)/(Lm). Masses whose reach (nu + 2 + ln(1/tol))/(Lm) passes
-    the direct sums' term budget are refused with ConvergenceError, and so
-    is a non-finite term, as in the direct sums.
+    Independent of the h0 summation path, so it can serve as an oracle for
+    the h0-based identity S(2 beta/L) = (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta).
+    It stops at the direct sums' rule: three terms in a row below
+    tol * max(1, |S|) * (1 - e^{-Lm}), S summed term by term, past n* =
+    (nu + 2)/(Lm). Masses whose reach (nu + 2 + ln(1/tol))/(Lm) passes the
+    direct sums' term budget are refused with ConvergenceError, and so is a
+    non-finite term, as in the direct sums.
     """
     m, L, D = _check_mass_args(m, L, D)
     if tol is None:
@@ -409,35 +409,33 @@ def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalRes
         )
     n_star = (nu + 2.0) / x
     decay = -math.expm1(-x)  # far out the terms fall by e^{-x} a step
-    pieces = []
-    running = 0.0  # all terms are positive, so a plain running sum is a safe gate
-    small = 0
-    term = 0.0
-    n = 0
+    pieces, running, n, run = [], 0.0, 0, 0  # terms used, S, their count, the small ones ending them
     # The terms are (m^2/2)^nu h0's at order -nu and beta = x/2: the h0
     # predictor sizes the first block, so that it most often holds the stop.
     block = min(int(_need(-nu, 0.5 * x, tol, 1.0, nu * math.log(0.5 * m * m))) + 3, _BLOCK)
-    while small < 3:
+    while True:
         if n >= _MAX_TERMS:
             raise ConvergenceError(f"mass sum passed {_MAX_TERMS} terms at m={m}, L={L}")
         ns = np.arange(n + 1, n + block + 1, dtype=float)
         with np.errstate(all="ignore"):
             terms = (m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)
-        for term in terms.tolist():
-            n += 1
-            pieces.append(term)
-            running += term
-            if not math.isfinite(running):
-                raise ConvergenceError(f"mass sum term {n} is non-finite at m={m}, L={L}, D={D}")
-            if n >= n_star and abs(term) < tol * max(1.0, abs(running)) * decay:
-                small += 1
-                if small >= 3:
-                    break
-            else:
-                small = 0
+            sums = np.concatenate(([running], terms)).cumsum()[1:]  # S term by term, in order
+            small = (ns >= n_star) & (np.abs(terms) < tol * np.maximum(1.0, np.abs(sums)) * decay)
+        small = np.concatenate((np.ones(run, dtype=bool), small))
+        stops = np.flatnonzero(small[2:] & small[1:-1] & small[:-2])
+        used = int(stops[0]) + 3 - run if stops.size else block
+        # The terms are positive: S is non-finite from the first non-finite one on.
+        if not math.isfinite(sums[used - 1]):
+            bad = int(np.flatnonzero(~np.isfinite(sums))[0])
+            raise ConvergenceError(f"mass sum term {n + bad + 1} is non-finite at m={m}, L={L}, D={D}")
+        pieces.append(terms[:used])
+        n, running = n + used, float(sums[used - 1])
+        if stops.size:
+            break
+        run = 2 if small[-2:].all() else int(small[-1])
         block = min(2 * block, _BLOCK)
-    err = 2.0 * abs(term) * math.exp(-x) / decay
-    return EvalResult(math.fsum(pieces), err, n, "mass_sum")
+    err = 2.0 * abs(float(terms[used - 1])) * math.exp(-x) / decay
+    return EvalResult(math.fsum(np.concatenate(pieces).tolist()), err, n, "mass_sum")
 
 
 def mass_expansion(m: float, L: float, D: int, order: float) -> Expansion:

@@ -38,11 +38,12 @@ predicted to stop (_need for h and g, _first_block for f): the threshold for
 on S, which never makes the block too short. So a sum most often takes one
 K_nu evaluation over about the terms it uses. A stream not yet stopped gets
 a block of twice as many new elements, which starts by re-reading its last
-33 elements, the tail bound's window. The source hands over its running sum
-of the envelope weights, taken once from the stream's start, so nothing but
-the partial sum passes between blocks and the result does not depend on the
-block layout. g doubles its shell array, and f its node table, only once a
-block has read every element in it.
+33 elements, the tail bound's window. The source hands over each element's
+rule factor 1 - e^{-2 beta dx} and the running sum of the envelope weights
+from the stream's start, so nothing but the partial sum passes between
+blocks and the result does not depend on the block layout. A block finds
+its stop and first fault on slices of its arrays. g doubles its shell
+array, and f its node table, only once a block has read every element in it.
 
 Budget: a sum predicted to need more than 10^7 terms raises ConvergenceError
 at once, from reach = (|s| + 2 + ln(1/tol))/(2 beta): h before it starts
@@ -52,14 +53,15 @@ row (about the sieve's pairs), pass 10^7 (_check_rows). A stream past 10^7
 terms used is refused.
 
 Tail bound (error_estimate): a geometric series fitted to the last 33
-elements (see _tail), which measures how fast the weights accumulate as well
-as the decay, since on a lattice nodes crowd and their weights grow.
+elements (see _tail), taken once, at the stop, in scalar arithmetic. It
+measures how fast the weights accumulate as well as the decay, since on a
+lattice nodes crowd and their weights grow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import islice, takewhile
 from typing import Optional
 
@@ -112,12 +114,7 @@ class EvalResult:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "terms_used": self.terms_used,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def _check_tol(tol: Optional[float]) -> float:
@@ -141,11 +138,8 @@ def _over_budget(terms: float, s: float, beta: float) -> ConvergenceError:
 
 
 def _envelope(s: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """The kernel E(x) = (x beta)^s K_s(2 x beta), elementwise.
-
-    K_s = K_0 + O(s^2), so K_0 serves below |s| = 1e-154, where scipy's kv
-    returns nan at subnormal orders."""
-    return (x * beta) ** s * sf.bessel_k_many(s if abs(s) >= 1e-154 else 0.0, 2.0 * beta * x)
+    """The kernel E(x) = (x beta)^s K_s(2 x beta), elementwise."""
+    return (x * beta) ** s * sf.bessel_k_many(s, 2.0 * beta * x)
 
 
 def _need(s: float, beta: float, tol: float, spacing: float, log_w: float = 0.0) -> float:
@@ -171,32 +165,36 @@ def _need(s: float, beta: float, tol: float, spacing: float, log_w: float = 0.0)
 
 
 def _series(s: float, y):
-    """1 + a_1/y + a_2/y^2 + a_3/y^3 of DLMF 10.40.2 (see _need), for a float or an array y."""
-    series, coeff = 1.0, 1.0
-    for k in (1, 2, 3):
-        coeff *= (4.0 * s * s - (2 * k - 1) ** 2) / (8.0 * k * y)
-        series += coeff
-    return series
+    """1 + a_1/y + a_2/y^2 + a_3/y^3 of DLMF 10.40.2 (see _need) at a float or an array y."""
+    a1 = (4.0 * s * s - 1.0) / 8.0
+    a2 = a1 * (4.0 * s * s - 9.0) / 16.0
+    a3 = a2 * (4.0 * s * s - 25.0) / 24.0
+    u = 1.0 / y
+    return 1.0 + u * (a1 + u * (a2 + u * a3))
 
 
-def _tail(x, kern, cum, j, lo, beta: float) -> np.ndarray:
-    """Bound on the sum of each stream past its element j (flat indices).
+def _tail(x, kern, cum, j: int, beta: float) -> float:
+    """Bound on the sum of a stream past the element j >= 2 of a block.
 
-    Over the window [lo, j], lo = j - 32 or the stream's first element: rho
-    is the kernel's decay per element, and the cumulative weight bound
-    N(x) ~ x^p gives p N/x, the weight per unit x. The tail is
+    Over the window [lo, j], lo = j - 32 or the block's first element: rho is
+    the kernel's decay per element, and the cumulative weight bound N(x) ~ x^p
+    gives p N/x, the weight per unit x. The tail is
     2 (p N_j/x_j) dx kern_j rho/(1 - rho), dx the mean spacing; rho is at
     least e^{-2 beta dx}, since far out every kernel falls like e^{-2 x beta}
     and nearer in its decay only slows down as x grows.
     """
-    ahead = j > lo
-    steps = np.maximum(j - lo, 1)
-    xj, xlo, kj, nj = x[j], x[lo], kern[j], cum[j]
-    dx = np.where(ahead, (xj - xlo) / steps, xj)
-    p = np.where(ahead, np.log(nj / cum[lo]) / np.log(xj / xlo), 1.0)
-    rho = (kj / kern[lo]) ** (1.0 / steps)
-    rho = np.fmax(np.where(rho < 1.0, rho, 0.0), np.exp(-2.0 * beta * dx))
-    return 2.0 * p * nj / xj * dx * kj * rho / (1.0 - rho)
+    lo = max(j - _WINDOW + 1, 0)
+    xj, xlo, kj, klo, nj = float(x[j]), float(x[lo]), float(kern[j]), float(kern[lo]), float(cum[j])
+    dx, p = (xj - xlo) / (j - lo), math.log(nj / float(cum[lo])) / math.log(xj / xlo)
+    rho = (kj / klo) ** (1.0 / (j - lo)) if klo > 0.0 else 0.0
+    rho = max(rho if rho < 1.0 else 0.0, math.exp(-2.0 * beta * dx))
+    return 2.0 * p * nj / xj * dx * kj * rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+
+def _first(mask) -> int:
+    """Index of the first True in mask, or its length if there is none."""
+    i = int(mask.argmax()) if mask.size else 0
+    return i if i < mask.size and mask[i] else mask.size
 
 
 def _log_h0_floor(s: float, beta: float) -> float:
@@ -214,11 +212,11 @@ def _log_h0_floor(s: float, beta: float) -> float:
     return 0.0
 
 
-def _first_block(s: float, beta: float, tol: float, x, wmax, w=None):
+def _first_block(s: float, beta: float, tol: float, x, geo, wmax, w=None):
     """(elements, 0.0) of a first block that should hold the stop of a stream
-    with nodes x and envelope weights wmax, or (len(x) + 1, gap) if no node is
-    predicted to stop it, the envelope lying gap >= 1 (in ln) above the
-    threshold over the last window.
+    with nodes x, rule factors geo and envelope weights wmax (see _sweep), or
+    (len(x) + 1, gap) if no node is predicted to stop it, the envelope lying
+    gap >= 1 (in ln) above the threshold over the last window.
 
     The rule at each node, E from the large-argument form (as in _need) taken
     twice over; the block ends 3 nodes past the third small node in a row.
@@ -230,23 +228,22 @@ def _first_block(s: float, beta: float, tol: float, x, wmax, w=None):
     first one left out (DLMF 10.40.10).
     """
     y = 2.0 * beta * x
-    log_e = (s - 0.5) * np.log(y) - y + np.log(_series(s, y)) + 0.5 * math.log(math.pi / 2.0) - s * math.log(2.0)
-    dx = x.copy()
-    dx[1:] -= x[:-1]
-    over = np.log(wmax) + log_e + math.log(2.0) - np.log(tol * -np.expm1(-2.0 * beta * dx))
+    log_y = np.log(y)
+    # ln (y/2)^s sqrt(pi/(2y)) e^-y, the leading part of E and of the bound
+    base = (s - 0.5) * log_y - y + (0.5 * math.log(math.pi / 2.0) - s * math.log(2.0))
+    over = base + np.log(wmax * _series(s, y) / geo) + math.log(2.0 / tol)
     if w is not None:
         nu = abs(s)
-        log_k = 0.5 * np.log(math.pi / (2.0 * y))
-        if nu >= 0.5:
-            log_k = np.fmax(log_k, (nu - 1.0) * math.log(2.0) + math.lgamma(nu) - nu * np.log(y))
+        if nu >= 0.5:  # ln K_low/K_{1/2}
+            c = (nu - 1.0) * math.log(2.0) + math.lgamma(nu) - 0.5 * math.log(math.pi / 2.0)
+            corr = np.fmax(c - (nu - 0.5) * log_y, 0.0)
         else:
-            log_k += np.log(np.fmax(1.0 - (1.0 - 4.0 * nu * nu) / (8.0 * y), 0.0))
-        over -= np.fmax(np.logaddexp.accumulate(np.log(w) + s * np.log(0.5 * y) + log_k - y), 0.0)
-    small = (over < 0.0) & (y >= abs(s) + 2.0)
-    small[2:] &= small[1:-1] & small[:-2]
-    hits = np.flatnonzero(small[2:])
-    if hits.size:
-        return int(hits[0]) + 6, 0.0
+            corr = np.log(np.fmax(1.0 - (1.0 - 4.0 * nu * nu) / (8.0 * y), 0.0))
+        over -= np.fmax(np.logaddexp.accumulate(np.log(w) + base + corr), 0.0)
+    small = over[y.searchsorted(abs(s) + 2.0):] < 0.0
+    run = small[2:] & small[1:-1] & small[:-2]
+    if (hit := _first(run)) < run.size:
+        return x.size - small.size + hit + 6, 0.0
     return x.size + 1, float(np.fmax(over[-_WINDOW:].max(initial=1.0), 1.0))
 
 
@@ -255,72 +252,73 @@ def _sweep(s: float, beta: float, tol: float, source, first: float):
     terms used), value the partial sum at the last term used.
 
     source(start, size) gives elements start .. start + size - 1, or fewer but
-    at least one not read before, as arrays (x, kern, wmax, cum, term):
-    wmax * kern >= |term|, cum the running sum of the envelope weights from
-    the stream's start. The first block has first elements, at most _BLOCK;
-    each later one re-reads the last _WINDOW and adds twice as many new ones.
-    Raises ConvergenceError on a fault before the stop, and past _MAX_TERMS.
+    at least one not read before, as arrays (x, geo, kern, wmax, cum, term): x
+    increasing, geo the rule's factor 1 - e^{-2 beta dx}, dx the spacing from
+    the element before (x at the stream's start; never read at a re-read
+    block's start), wmax * kern >= |term|, cum the running sum of the envelope
+    weights from the stream's start; geo and wmax may be numbers. The first
+    block has first elements, at most _BLOCK; each later one re-reads the last
+    _WINDOW and adds twice as many new ones. Raises ConvergenceError on a
+    fault before the stop, and past _MAX_TERMS.
     """
     x_star = (abs(s) + 2.0) / (2.0 * beta)
     value, count, want = 0.0, 0, int(min(first, _BLOCK))
     while True:
         start = max(count - _WINDOW, 0)
-        x, kern, wmax, cum, term = source(start, min(count - start + want, _BLOCK))
+        x, geo, kern, wmax, cum, term = source(start, min(count - start + want, _BLOCK))
         n, old = x.size, count - start  # elements given, and re-read
-        psum = term.cumsum()
-        partial = (value - (psum[old - 1] if old else 0.0)) + psum
-        # The block's first element gets x = 0 and no kernel before it, as at
-        # the stream's start. Were it re-read, the rule looks back at it only
-        # if the stream is at most 2 elements old, so it is the stream's start.
-        prev = np.empty((2, n))
-        prev[0, 1:] = x[:-1]
-        prev[1, 1:] = kern[:-1]
-        prev[:, 0] = 0.0, math.inf
-        at = np.arange(n)
-        new = at >= old
-        small = wmax * kern < -tol * np.maximum(1.0, np.abs(partial)) * np.expm1(-2.0 * beta * (x - prev[0]))
-        stop = small & new & (at >= 2) & (x >= x_star)
-        stop[2:] &= small[1:-1] & small[:-2]
-        # A non-finite term leaves every partial sum from it on non-finite.
-        bad = new & (~np.isfinite(partial) | (x > x_star) & (kern > prev[1] * (1.0 + 1e-9)) & (kern > 1e-305))
-        hits = np.flatnonzero(stop | bad)  # first stop or fault
-        j = int(hits[0]) if hits.size else n - 1
-        value = partial[j]
-        count += j + 1 - old
+        partial = term.cumsum()
+        if old:
+            partial += value - partial[old - 1]
+        small = wmax * kern < tol * np.maximum(1.0, np.abs(partial)) * geo
+        # x increases: the stop is the first new element from lo on to end a run
+        # of three small ones, a fault the first new one with a non-finite partial
+        # sum (each is, from a non-finite term on) or a kernel growing past x*.
+        lo = max(old, 2, int(x.searchsorted(x_star)))
+        grow = max(old, 1, int(x.searchsorted(x_star, side="right")))
+        bad = ~np.isfinite(partial)
+        bad[grow:] |= kern[grow:] > np.maximum(kern[grow - 1:-1] * (1.0 + 1e-9), 1e-305)
+        fault = old + _first(bad[old:])
+        stop = lo + _first(small[lo:] & small[lo - 1:-1] & small[lo - 2:-2])
+        j = min(fault, stop, n - 1)
+        value, count = partial[j], count + j + 1 - old
         if count >= _MAX_TERMS:
             raise _over_budget(count, s, beta)
-        if hits.size:
-            if bad[j]:
-                raise ConvergenceError(f"a term is non-finite or fails to decay (s={s}, beta={beta})")
-            tail = _tail(x, kern, cum, at[j:j + 1], np.array([max(j - _WINDOW + 1, 0)]), beta)[0]
-            return float(value), float(tail), count
+        if fault == j:
+            raise ConvergenceError(f"a term is non-finite or fails to decay (s={s}, beta={beta})")
+        if stop == j:
+            return float(value), _tail(x, kern, cum, j, beta), count
         want = min(2 * want, _BLOCK)
 
 
 def sum_h(params: SeriesParams, tol: Optional[float] = None) -> EvalResult:
     """Phase-weighted Bessel series h(s, beta, B)."""
-    tol = _check_tol(tol)
+    return EvalResult(*_sum_h(params, _check_tol(tol)), "direct_h")
+
+
+def sum_h0(s: float, beta: float, tol: Optional[float] = None) -> EvalResult:
+    """Phase-free series h0(s, beta) = h(s, beta, 0)."""
+    return EvalResult(*_sum_h(SeriesParams(s=s, beta=beta), _check_tol(tol)), "direct_h0")
+
+
+def _sum_h(params: SeriesParams, tol: float):
+    """(value, tail bound, terms used) of h(s, beta, B)."""
     s, beta, B = params.s, params.beta, params.B
     reach = _reach(s, beta, tol)
     if math.ceil(reach) + 3 > _MAX_TERMS:
         raise _over_budget(math.ceil(reach) + 3, s, beta)
+    geo = -np.expm1(-2.0 * beta)  # the nodes are 1 apart, the first 1 past 0
 
     def source(start, size):
         m = np.arange(start + 1.0, start + size + 1.0)
         kern = _envelope(s, beta, m)
         term = kern * np.cos((2.0 * math.pi * B) * m) if B != 0.0 else kern
-        return m, kern, np.ones(size), m, term
+        return m, geo, kern, 1.0, m, term
 
     # Only with B = 0 is every partial sum bounded below.
     log_floor = _log_h0_floor(s, beta) if B == 0.0 else 0.0
     with np.errstate(all="ignore"):
-        value, err, terms = _sweep(s, beta, tol, source, _need(s, beta, tol, 1.0, -log_floor) + 3.0)
-    return EvalResult(value, err, terms, "direct_h")
-
-
-def sum_h0(s: float, beta: float, tol: Optional[float] = None) -> EvalResult:
-    """Phase-free series h0(s, beta) = h(s, beta, 0)."""
-    return replace(sum_h(SeriesParams(s=s, beta=beta), tol), method="direct_h0")
+        return _sweep(s, beta, tol, source, _need(s, beta, tol, 1.0, -log_floor) + 3.0)
 
 
 def sum_g(d: int, s: float, beta: float, tol: Optional[float] = None) -> EvalResult:
@@ -347,10 +345,10 @@ def sum_g(d: int, s: float, beta: float, tol: Optional[float] = None) -> EvalRes
         # window, so the array stays within twice the largest shell read.
         while ks.size < min(end, start + _WINDOW + 1):
             grow(2 * kmax)
-        k = ks[start:end]
-        w = rs[start:end]
-        kern = k ** -s * _envelope(s, beta, np.sqrt(k))
-        return np.sqrt(k), kern, w, cum[start:end], w * kern
+        k, w = ks[start:end], rs[start:end]
+        x = np.sqrt(k)
+        kern = k ** -s * _envelope(s, beta, x)
+        return x, -np.expm1(-2.0 * beta * np.diff(x, prepend=0.0)), kern, w, cum[start:end], w * kern
 
     # The kernel r_d(k) k^{-s} E(sqrt k) is r_d(k) beta^{2s} E(sqrt k) at order -s,
     # r_d(k) >= 2. |S| often carries that weight too, and then the rule stops far
@@ -365,13 +363,13 @@ def sum_g(d: int, s: float, beta: float, tol: Optional[float] = None) -> EvalRes
 
 def _spectrum(model: ManifoldModel, xmax: float, rows: Optional[int] = None):
     """The eigenvalues alpha_n <= xmax of model, at most rows of them, as
-    (q, mult, p) with alpha_n = q^(1/p): q = n on the circle and torus:1 and
-    the shell |n|^2 on torus:d (p = 2, mult = r_d), integers; any other
-    spectrum is drawn from model.eigenvalues() as floats, q = alpha_n, p = 1.
+    (q, mult, p), alpha_n = q^(1/p): integers q = n on the circle and torus:1
+    (mult a number) and the shells |n|^2 on torus:d (p = 2, mult = r_d); any
+    other spectrum is drawn from model.eigenvalues() as floats, q = alpha_n, p = 1.
     """
     if isinstance(model, CircleModel) or (isinstance(model, TorusModel) and model.d == 1):
-        q = np.arange(1, min(math.floor(xmax), rows or math.inf) + 1)
-        return q, np.full(q.size, 2.0 if isinstance(model, TorusModel) else 1.0), 1
+        mult = 2.0 if isinstance(model, TorusModel) else 1.0
+        return np.arange(1, min(math.floor(xmax), rows or math.inf) + 1), mult, 1
     if isinstance(model, TorusModel):
         r = sf.lattice_shell_counts(model.d, math.floor(xmax * xmax))[1:]
         q = np.flatnonzero(r) + 1
@@ -411,25 +409,22 @@ def _nodes(model: ManifoldModel, s: float, B: float, lo: float, hi: float):
     q, mult, p = _spectrum(model, hi)
     if q.dtype.kind == "i":  # keys k = q m^p <= k1 exactly
         k0, k1 = math.floor(lo ** p), math.floor(hi ** p)
-        m0, m1 = ((k0 // q) ** (1.0 / p)).astype(np.int64), ((k1 // q) ** (1.0 / p)).astype(np.int64)
+        m0, m1 = (k0 // q, k1 // q) if p == 1 else (((k // q) ** (1.0 / p)).astype(np.int64) for k in (k0, k1))
     else:  # one more m each side, then the range decides on the products as rounded
         m0, m1 = np.maximum((lo / q).astype(np.int64) - 1, 0), (hi / q).astype(np.int64) + 1
     per = m1 - m0
-    row = np.arange(q.size).repeat(per)
-    m = np.arange(1, row.size + 1) + (m0 - per.cumsum() + per).repeat(per)
-    idx = q[row] * m ** p  # the key, then the node's bin
-    if q.dtype.kind == "i":
-        idx -= k0 + 1
-    else:
+    m = np.arange(1, per.sum() + 1) + (m1 - per.cumsum()).repeat(per)
+    idx = q.repeat(per) * (m if p == 1 else m ** p)  # the key, which is the node's bin if an integer
+    base = (mult * q ** (-2.0 * s / p)).repeat(per)
+    if q.dtype.kind != "i":
         inside = (idx > lo) & (idx <= hi)
-        row, m = row[inside], m[inside]
+        base, m = base[inside], m[inside]
         node, idx = np.unique(idx[inside], return_inverse=True)
-    base = (mult * q ** (-2.0 * s / p))[row]
     W = np.bincount(idx, base)
     w = np.bincount(idx, base * np.cos((2.0 * math.pi * B) * m)) if B != 0.0 else W
     if q.dtype.kind == "i":  # the bins hit: every weight is positive, or adds nothing
-        node = np.flatnonzero(W)
-        W, w, node = W[node], w[node], node + (k0 + 1)
+        node = W.nonzero()[0]
+        W, w = W[node], w[node]
     return node ** (1.0 / p), w, W
 
 
@@ -453,19 +448,21 @@ def sum_f(model: ManifoldModel, s: float, beta: float, B: float, tol: Optional[f
     reach = _reach(s, beta, tol)
     need = _check_rows(model, s, beta, reach)
     xmax = 0.0
-    x = w = W = V = cum = np.zeros(0)  # the node table, to xmax
+    x = w = W = geo = V = cum = np.zeros(0)  # the node table, to xmax
 
     def extend(hi):
-        """Add the nodes xmax < x <= hi to the table, with their envelope weights."""
-        nonlocal xmax, x, w, W, V, cum
-        x, w, W = (np.concatenate(pair) for pair in zip((x, w, W), _nodes(model, s, B, xmax, hi)))
+        """Add the nodes xmax < x <= hi to the table, with their rule factors and envelope weights."""
+        nonlocal xmax, x, w, W, geo, V, cum
+        new = _nodes(model, s, B, xmax, hi)
+        x, w, W = (np.concatenate(pair) for pair in zip((x, w, W), new)) if x.size else new
         xmax = hi
-        back = x.searchsorted(x - x[:1], side="right") - 1  # the last node at or before x - x_0
         dx = x.copy()
         dx[1:] -= x[:-1]
-        cw = W.cumsum()
-        V = np.fmax(W, (cw - np.where(back >= 0, cw[back], 0.0)) / x[:1] * dx)
+        cw = np.zeros(x.size + 1)  # 0, then the running sum of W: the weight up to each node
+        W.cumsum(out=cw[1:])
+        V = np.fmax(W, (cw[1:] - cw[x.searchsorted(x - x[:1], side="right")]) / x[:1] * dx)
         cum = V.cumsum()
+        geo = -np.expm1(-2.0 * beta * dx)
 
     def source(start, size):
         end = start + size
@@ -473,7 +470,7 @@ def sum_f(model: ManifoldModel, s: float, beta: float, B: float, tol: Optional[f
         while x.size < min(end, start + _WINDOW + 1):
             extend(2.0 * xmax)
         kern = _envelope(s, beta, x[start:end])
-        return x[start:end], kern, V[start:end], cum[start:end], w[start:end] * kern
+        return x[start:end], geo[start:end], kern, V[start:end], cum[start:end], w[start:end] * kern
 
     with np.errstate(all="ignore"):
         # The table reaches reach, or past it as far as the stop is predicted to
@@ -482,7 +479,7 @@ def sum_f(model: ManifoldModel, s: float, beta: float, B: float, tol: Optional[f
         extend(reach if need > _BLOCK else 2.0 * reach)
         while True:
             # Only with B = 0 is every term positive, and S bounded below.
-            first, gap = _first_block(s, beta, tol, x, V, w if B == 0.0 else None)
+            first, gap = _first_block(s, beta, tol, x, geo, V, w if B == 0.0 else None)
             if not gap:
                 break
             if x.size > _MAX_TERMS:

@@ -146,19 +146,22 @@ def bessel_k_many(nu: float, xs) -> np.ndarray:
     Wraps ``scipy.special.kv`` (the AMOS routines, Amos, ACM TOMS 644, 1986),
     accurate to a few ulp over the whole range; K_nu is even in nu. Values
     below the smallest double underflow to 0, and K_nu(x) for large nu at
-    small x overflows to inf: callers check finiteness.
+    small x overflows to inf: callers check finiteness. Below |nu| = 1e-154,
+    where kv fails, K_0 serves: K_nu = K_0 + O(nu^2).
     """
     xs = np.asarray(xs, dtype=float)
     if xs.size and not (xs.min() > 0.0 and xs.max() < math.inf):
         raise DomainError("bessel_k requires finite x > 0")
-    return _sp.kv(abs(float(nu)), xs)
+    nu = abs(float(nu))
+    return _sp.kv(0.0 if nu < 1e-154 else nu, xs)
 
 
 def bessel_k(nu: float, x: float) -> float:
     """Modified Bessel K_nu(x) at one finite x > 0 (see bessel_k_many)."""
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"bessel_k requires finite x > 0, got {x}")
-    return float(_sp.kv(abs(float(nu)), float(x)))
+    nu = abs(float(nu))
+    return float(_sp.kv(0.0 if nu < 1e-154 else nu, float(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,27 @@ class TestMassSeries:
         want = ap.mass_expansion(m, L, 4, 12.0).evaluate(m)
         assert abs(got - want) < 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("block", [None, 4])
+    @pytest.mark.parametrize("m, L, D", [(0.7, 1.0, 4), (1.3, 0.5, 2), (0.05, 2.0, 3), (2e-3, 1.0, 6)])
+    def test_block_step_matches_the_term_loop(self, monkeypatch, m, L, D, block):
+        # The rule applied term by term to the same terms gives the same sum,
+        # stop and estimate; blocks of 4 carry runs of small terms across
+        # block starts.
+        if block:
+            monkeypatch.setattr(ap, "_BLOCK", block)
+        got = ap.mass_sum(m, L, D)
+        nu, x, tol = 0.5 * D - 1.0, L * m, de.DEFAULT_TOL
+        ns = np.arange(1.0, got.terms_used + 11.0)
+        decay, small, running, used = -math.expm1(-x), 0, 0.0, []
+        for n, term in enumerate(((m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)).tolist(), 1):
+            used.append(term)
+            running += term
+            small = small + 1 if n >= (nu + 2.0) / x and term < tol * max(1.0, running) * decay else 0
+            if small == 3:
+                break
+        assert (got.value, got.terms_used) == (math.fsum(used), len(used))
+        assert got.error_estimate == 2.0 * used[-1] * math.exp(-x) / decay
+
     @pytest.mark.parametrize("m", [1e-6, 1e-9])
     def test_mass_past_the_term_budget_refused_at_once(self, m):
         start = time.perf_counter()

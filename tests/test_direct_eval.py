@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import besselsum.direct_eval as de
 import besselsum.manifolds as mf
+import besselsum.specfun as sf
 from besselsum.direct_eval import SeriesParams
 from besselsum.asymptotics import expand_f0
 from besselsum.errors import ConvergenceError, DomainError
@@ -183,8 +184,7 @@ def _f_terms(model, s, beta, B):
     per = (xmax / a).astype(int)
     m = np.arange(1, per.sum() + 1) - (per.cumsum() - per).repeat(per)
     a, mult = a.repeat(per), mult.repeat(per)
-    nu = s if abs(s) >= 1e-154 else 0.0  # kv is nan at subnormal orders; K_s = K_0 + O(s^2)
-    return mult * a ** (-2 * s) * np.cos(2 * np.pi * B * m) * (m * a * beta) ** s * sps.kv(nu, 2 * a * m * beta)
+    return mult * a ** (-2 * s) * np.cos(2 * np.pi * B * m) * (m * a * beta) ** s * sf.bessel_k_many(s, 2 * a * m * beta)
 
 
 @pytest.mark.parametrize("beta", [15.0, 150.0, 300.0])
@@ -340,11 +340,26 @@ _LAYOUT_GRID = (
 )
 
 
-def test_block_layout_does_not_change_the_result(monkeypatch):
+def _short_blocks(monkeypatch):
     # Blocks of at most 256 elements split every stream that a default block
-    # holds whole: the rule must see the same elements and stop at the same one.
-    default = [f() for _, f in _LAYOUT_GRID]
+    # holds whole.
     monkeypatch.setattr(de, "_BLOCK", 256)
+
+
+def _tiny_first_blocks(monkeypatch):
+    # First blocks of 1, 2 and 3 elements (h; g starts from the shells up to
+    # 1, 4 or 9), so later blocks re-read fewer than _WINDOW elements and the
+    # rule looks back across a block start.
+    sizes = itertools.cycle((1, 2, 3))
+    monkeypatch.setattr(de, "_need", lambda *args: next(sizes) - 3.0)
+    monkeypatch.setattr(de, "_first_block", lambda *args: (next(sizes), 0.0))
+
+
+@pytest.mark.parametrize("layout", [_short_blocks, _tiny_first_blocks], ids=["short", "tiny_first"])
+def test_block_layout_does_not_change_the_result(monkeypatch, layout):
+    # The rule must see the same elements and stop at the same one.
+    default = [f() for _, f in _LAYOUT_GRID]
+    layout(monkeypatch)
     for (family, f), want in zip(_LAYOUT_GRID, default):
         got = f()
         assert (got.terms_used, got.error_estimate) == (want.terms_used, want.error_estimate), family

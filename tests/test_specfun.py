@@ -3,7 +3,9 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +95,14 @@ def test_bessel_k_mixed_batch_matches_mpmath(nu):
 
 def test_bessel_k_even_in_order():
     assert sf.bessel_k(2.5, 1.3) == sf.bessel_k(-2.5, 1.3)
+
+
+@pytest.mark.parametrize("nu", [5e-324, -5e-324])
+def test_bessel_k_subnormal_order_is_k0(nu):
+    # scipy's kv gives inf and nan at subnormal orders; K_nu = K_0 + O(nu^2).
+    xs = np.array([0.1, 1.0, 30.0])
+    assert list(sf.bessel_k_many(nu, xs)) == list(sps.kv(0, xs))
+    assert [sf.bessel_k(nu, x) for x in xs] == list(sps.kv(0, xs))
 
 
 @pytest.mark.parametrize("fn,args", [

@@ -59,7 +59,7 @@ from .manifolds import (
     table_model,
     torus_model,
 )
-from .mellin_oracle import ContourConfig, contour_h, contour_h0
+from .mellin_oracle import contour_h, contour_h0
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "BesselSumError",
     "CircleModel",
     "ConfigError",
-    "ContourConfig",
     "ConvergenceError",
     "DEFAULT_TOL",
     "DomainError",

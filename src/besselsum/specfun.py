@@ -546,7 +546,18 @@ def polylog_pair_deriv(nu: float, x: float) -> float:
 
 
 def _polylog_pair_complex(nu: complex, x: float) -> complex:
-    """C(nu, x) for complex order, via the reflection formula (contour use)."""
+    """C(nu, x) for complex order (contour use): polylog_pair on the real axis,
+    where the reflection formula below is inf * 0 at even integer nu, and that
+    formula elsewhere.
+
+    The formula loses digits as Re nu grows, in _hurwitz_em's head sum at
+    Re(1 - nu) < 0. Relative error against mpmath at x = 0.3, nu = r + 2iy:
+    r = 0.5: <= 3e-15; r = 1: 5e-14 at y = 0.1, 6e-15 at y = 6;
+    r = 1.5: 6e-13 and 3e-14; r = 2.5: 2e-11, 4e-12 at y = 1, 2e-13 at y = 6;
+    r = 3.5: 1e-9 and 7e-12. _riemann_zeta_complex on Re z = 2.5 is within 2e-16.
+    """
+    if nu.imag == 0.0:
+        return polylog_pair(nu.real, x)
     pref = (
         cmath.exp(nu * math.log(2.0 * math.pi))
         * gamma_complex(1.0 - nu)

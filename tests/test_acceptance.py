@@ -16,7 +16,7 @@ import besselsum.direct_eval as de
 import besselsum.manifolds as mf
 import besselsum.specfun as sf
 from besselsum import applications as ap
-from besselsum.mellin_oracle import ContourConfig, contour_h, contour_h0
+from besselsum.mellin_oracle import contour_h, contour_h0
 
 from util import (
     INSTANCES,
@@ -259,12 +259,12 @@ def test_criterion_08_contour_oracle():
             gotp = contour_h(s, beta, 0.3)
             if abs(gotp - wantp) >= 1e-7 * max(1.0, abs(wantp)):
                 failures.append(f"h s={s:.3g} beta={beta}: {abs(gotp - wantp):.2e}")
-        lo = contour_h0(s, 0.7, ContourConfig(c=1.0))
-        hi = contour_h0(s, 0.7, ContourConfig(c=2.0))
+        lo = contour_h0(s, 0.7, c=1.0)
+        hi = contour_h0(s, 0.7, c=2.0)
         if abs(lo - hi) >= 1e-8 * max(1.0, abs(lo)):
             failures.append(f"h0 c-dependence s={s:.3g}: {abs(lo - hi):.2e}")
-        lo = contour_h(s, 0.7, 0.3, ContourConfig(c=1.0))
-        hi = contour_h(s, 0.7, 0.3, ContourConfig(c=2.0))
+        lo = contour_h(s, 0.7, 0.3, c=1.0)
+        hi = contour_h(s, 0.7, 0.3, c=2.0)
         if abs(lo - hi) >= 1e-8 * max(1.0, abs(lo)):
             failures.append(f"h c-dependence s={s:.3g}: {abs(lo - hi):.2e}")
     _report(8, "contour oracle vs direct sums (1e-7), abscissa-independent "

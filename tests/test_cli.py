@@ -171,6 +171,9 @@ class TestUsage:
             ["eval", "--series", "nope", "--s", "1.0", "--beta", "1.0"],
             ["expand", "--series", "h0", "--s", "1.0"],
             ["eval", "--series", "h0", "--s", "abc", "--beta", "1.0"],
+            # the contour oracle runs one fixed rule: no quadrature knobs
+            ["oracle", "--series", "h0", "--s", "0.9", "--beta", "0.5", "--ymax", "40"],
+            ["oracle", "--series", "h0", "--s", "0.9", "--beta", "0.5", "--quad-tol", "1e-9"],
         ],
     )
     def test_usage_error_exit_1(self, capsys, argv):
@@ -310,6 +313,20 @@ class TestCompare:
         assert code == 0, err
         assert json.loads(out)["result"]["ratio_status"] == "skip"
 
+    def test_sums_each_scale_once(self, capsys, monkeypatch):
+        # one direct sum at beta and one at 2 beta; the ratio test reuses the first
+        calls = []
+        direct_value = cli._direct_value
+        monkeypatch.setattr(cli, "_direct_value",
+                            lambda *a: calls.append(a[2]) or direct_value(*a))
+        code, out, err = run_cli(
+            capsys,
+            ["compare", "--series", "h0", "--s", "0.9", "--beta", "0.1", "--order", "4"],
+        )
+        assert code == 0, err
+        assert json.loads(out)["result"]["remainder_power"] is not None
+        assert calls == [0.1, 0.2]
+
 
 class TestOracle:
     def test_h0_agrees(self, capsys):
@@ -328,6 +345,18 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["result"]["status"] == "pass"
+
+    def test_h_without_phase_is_h0(self, capsys):
+        # --B defaults to 0, inside sum_h's domain [0, 1)
+        code, out, err = run_cli(
+            capsys, ["oracle", "--series", "h", "--s", "0.9", "--beta", "0.5"])
+        assert code == 0, err
+        res = json.loads(out)["result"]
+        assert res["status"] == "pass"
+        code, out0, _ = run_cli(
+            capsys, ["oracle", "--series", "h0", "--s", "0.9", "--beta", "0.5"])
+        assert code == 0
+        assert res["value"] == json.loads(out0)["result"]["value"]
 
     def test_impossible_bound_exit_3(self, capsys):
         code, out, _ = run_cli(

@@ -10,10 +10,11 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 import besselsum
-from besselsum import ConfigError, ContourConfig, DomainError, contour_h, contour_h0
+from besselsum import ConfigError, DomainError, contour_h, contour_h0
 
 from util import direct_value
 
@@ -38,68 +39,105 @@ def test_contour_h_matches_direct(s, beta, x):
     assert abs(got - want) < 1e-7 * max(1.0, abs(want))
 
 
+def _mp_series(s, beta, x):
+    """sum_m cos(2 pi m x) (m beta)^s K_s(2 m beta) at 20 digits."""
+    with mp.workdps(20):
+        total, m = mp.mpf(0), 1
+        while True:
+            term = mp.cos(2 * mp.pi * m * x) * (m * beta) ** s * mp.besselk(s, 2 * m * beta)
+            total += term
+            if 2 * m * beta > abs(s) + 5 and abs(term) < mp.mpf(10) ** -20 * max(1, abs(total)):
+                return float(total)
+            m += 1
+
+
+@pytest.mark.parametrize("s, beta, x, bound", [
+    # x = 0 is h0, with h0's default line
+    # left of s = -1/2 the default line follows the pole at t = -s
+    (-3.7, 0.7, 0.0, 1e-13), (-2.4, 1.5, 0.0, 1e-13), (-1.4, 0.1, 0.0, 1e-13),
+    (-0.552, 0.455, 0.0, 1e-13),
+    (0.3, 0.1, 0.0, 1e-13), (2.642, 0.725, 0.0, 1e-13), (1.656, 1.614, 0.0, 1e-13),
+    # C(2t, x) loses digits as Re 2t = 2c grows (see specfun._polylog_pair_complex):
+    # 3.9e-13 at s = -0.863, where c = 1.113
+    (-0.863, 0.109, 0.5, 1e-12), (-0.259, 0.121, 0.3, 1e-13), (0.16, 0.131, 0.5, 1e-13),
+    (1.2, 0.7, 0.3, 1e-13), (2.376, 0.1, 0.5, 1e-13), (2.457, 1.646, 0.3, 1e-13),
+])
+def test_contour_matches_mpmath(s, beta, x, bound):
+    want = _mp_series(s, beta, x)
+    got = contour_h(s, beta, x)
+    assert abs(got - want) < bound * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("s", S_VALUES)
 def test_abscissa_independence_h0(s):
     beta = 0.7
-    lo = contour_h0(s, beta, ContourConfig(c=1.0))
-    hi = contour_h0(s, beta, ContourConfig(c=2.0))
+    lo = contour_h0(s, beta, c=1.0)
+    hi = contour_h0(s, beta, c=2.0)
     assert abs(lo - hi) < 1e-8 * max(1.0, abs(lo))
 
 
 @pytest.mark.parametrize("s", S_VALUES)
 def test_abscissa_independence_h(s):
     beta = 0.7
-    lo = contour_h(s, beta, 0.3, ContourConfig(c=1.0))
-    hi = contour_h(s, beta, 0.3, ContourConfig(c=2.0))
+    lo = contour_h(s, beta, 0.3, c=1.0)
+    hi = contour_h(s, beta, 0.3, c=2.0)
     assert abs(lo - hi) < 1e-8 * max(1.0, abs(lo))
-
-
-def test_integrand_tail_is_negligible():
-    # The integrand decays like e^(-pi y); cutting the line at y=40 instead of
-    # 60 must not move the result at double precision.
-    val40 = contour_h0(0.9, 0.5, ContourConfig(y_max=40.0))
-    val60 = contour_h0(0.9, 0.5, ContourConfig(y_max=60.0))
-    assert abs(val40 - val60) < 1e-12 * max(1.0, abs(val60))
 
 
 def test_h0_abscissa_must_clear_poles():
     # Rightmost pole for h0 is at t = 1/2 (or t = -s when that is larger).
     with pytest.raises(ConfigError):
-        contour_h0(0.9, 0.5, ContourConfig(c=0.4))
+        contour_h0(0.9, 0.5, c=0.4)
     with pytest.raises(ConfigError):
-        contour_h0(-1.4, 0.5, ContourConfig(c=1.2))  # needs c > 1.4
+        contour_h0(-1.4, 0.5, c=1.2)  # needs c >= 1.45
+    with pytest.raises(ConfigError):
+        contour_h0(0.9, 0.5, c=0.5 + 1e-8)  # a line this close needs ~10^10 nodes
+
+
+def test_integrand_past_double_range_is_refused():
+    # Gamma(c)^2 on a line at c = 400 overflows before the first node.
+    with pytest.raises(DomainError):
+        contour_h0(0.9, 0.5, c=400.0)
+    with pytest.raises(DomainError):
+        contour_h(0.9, 0.5, 0.3, c=400.0)
 
 
 def test_h_abscissa_must_clear_poles():
     # No zeta pole for the phase-weighted series: bound is max(0, -s).
     with pytest.raises(ConfigError):
-        contour_h(-0.4, 0.5, 0.3, ContourConfig(c=0.3))
+        contour_h(-0.4, 0.5, 0.3, c=0.3)
     # c in (0, 1/2) is legal for h (s > 0) even though it would not be for h0.
-    val = contour_h(0.9, 0.5, 0.3, ContourConfig(c=0.25))
+    val = contour_h(0.9, 0.5, 0.3, c=0.25)
     want = direct_value("h", None, None, 0.9, 0.5, 0.3)
     assert abs(val - want) < 1e-7 * max(1.0, abs(want))
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ContourConfig(c=math.inf)
+        contour_h0(0.9, 0.5, c=math.inf)
     with pytest.raises(ConfigError):
-        ContourConfig(y_max=0.0)
+        contour_h0(0.9, 0.5, c=math.nan)
     with pytest.raises(ConfigError):
-        ContourConfig(y_max=-5.0)
-    with pytest.raises(ConfigError):
-        ContourConfig(quad_tol=0.0)
+        contour_h(0.9, 0.5, 0.3, c=math.inf)
 
 
 def test_domain_validation():
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            contour_h0(s, 0.5)
+        with pytest.raises(DomainError):
+            contour_h(s, 0.5, 0.3)
     with pytest.raises(DomainError):
         contour_h0(0.9, 0.0)
     with pytest.raises(DomainError):
         contour_h0(0.9, -1.0)
     with pytest.raises(DomainError):
-        contour_h(0.9, 0.5, 0.0)
+        contour_h(0.9, 0.5, -0.1)
     with pytest.raises(DomainError):
         contour_h(0.9, 0.5, 1.0)
+    # x = 0 is in sum_h's domain: C(2t, 0) = 2 zeta(2t), so h is h0
+    assert contour_h(0.9, 0.5, 0.0) == contour_h0(0.9, 0.5)
+    assert contour_h(-1.4, 0.5, 0.0) == contour_h0(-1.4, 0.5)
 
 
 def test_phase_continuity_toward_half():
@@ -111,12 +149,17 @@ def test_phase_continuity_toward_half():
 
 
 def test_package_import_leaves_quadrature_unloaded():
-    # scipy.integrate is for the contour oracle alone; a fresh interpreter
-    # that imports the package must not pay for it
+    # The package has no scipy.integrate: a fresh interpreter that imports it
+    # and runs the contour oracle for h0 and h never loads it
     src = os.path.dirname(os.path.dirname(besselsum.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, besselsum; print('scipy.integrate' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "False"
+    code = ("import sys, besselsum\n"
+            "from besselsum import cli\n"
+            "loaded = ['scipy.integrate' in sys.modules]\n"
+            "for series in (['--series', 'h0'], ['--series', 'h', '--B', '0.3']):\n"
+            "    assert cli.run(['oracle', '--s', '0.9', '--beta', '0.5'] + series) == 0\n"
+            "    loaded.append('scipy.integrate' in sys.modules)\n"
+            "print(loaded, file=sys.stderr)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stderr.strip() == "[False, False, False]"

@@ -336,6 +336,10 @@ class TestOracle:
         res = json.loads(out)["result"]
         assert res["status"] == "pass"
         assert res["abs_diff"] < 1e-10
+        # --series h without --B: B = 0 is in sum_h's domain, and h is h0 there
+        doc = run_json(capsys, ["oracle", "--series", "h", "--s", "0.9", "--beta", "0.5"])
+        assert doc["result"]["status"] == "pass"
+        assert doc["result"]["value"] == res["value"]
 
     def test_h_with_phase_agrees(self, capsys):
         code, out, _ = run_cli(
@@ -345,18 +349,6 @@ class TestOracle:
         )
         assert code == 0
         assert json.loads(out)["result"]["status"] == "pass"
-
-    def test_h_without_phase_is_h0(self, capsys):
-        # --B defaults to 0, inside sum_h's domain [0, 1)
-        code, out, err = run_cli(
-            capsys, ["oracle", "--series", "h", "--s", "0.9", "--beta", "0.5"])
-        assert code == 0, err
-        res = json.loads(out)["result"]
-        assert res["status"] == "pass"
-        code, out0, _ = run_cli(
-            capsys, ["oracle", "--series", "h0", "--s", "0.9", "--beta", "0.5"])
-        assert code == 0
-        assert res["value"] == json.loads(out0)["result"]["value"]
 
     def test_impossible_bound_exit_3(self, capsys):
         code, out, _ = run_cli(

@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import specfun as sf
 from .asymptotics import (
     Expansion,
@@ -44,7 +42,7 @@ from .asymptotics import (
     expand_f0,
     expand_h0,
 )
-from .direct_eval import _BLOCK, _MAX_TERMS, DEFAULT_TOL, EvalResult, _need, sum_f
+from .direct_eval import EvalResult, SeriesParams, _check_tol, _sum_h, sum_f
 from .errors import ConfigError, ConvergenceError, DomainError
 from .manifolds import ManifoldModel
 
@@ -385,57 +383,15 @@ def _check_mass_args(m: float, L: float, D: int) -> Tuple[float, float, int]:
 def mass_sum(m: float, L: float, D: int, tol: Optional[float] = None) -> EvalResult:
     """Direct evaluation of S(m) = sum_{n>=1} (m/(nL))^{D/2-1} K_{D/2-1}(nLm).
 
-    Independent of the h0 summation path, so it can serve as an oracle for
-    the h0-based identity S(2 beta/L) = (2/L^2)^{D/2-1} beta^{D-2} h0(1-D/2, beta).
-    It stops at the direct sums' rule: three terms in a row below
-    tol * max(1, |S|) * (1 - e^{-Lm}), S summed term by term, past n* =
-    (nu + 2)/(Lm). Masses whose reach (nu + 2 + ln(1/tol))/(Lm) passes the
-    direct sums' term budget are refused with ConvergenceError, and so is a
-    non-finite term, as in the direct sums.
+    h0's stream at s = 1 - D/2, beta = mL/2 with power base L/m (see
+    direct_eval), under the direct sums' stopping rule, tail bound and budget.
     """
     m, L, D = _check_mass_args(m, L, D)
-    if tol is None:
-        tol = DEFAULT_TOL
-    tol = float(tol)
-    if not (0.0 < tol < 1.0):
-        raise DomainError(f"tol must lie in (0, 1), got {tol}")
-    nu = 0.5 * D - 1.0
-    x = L * m
-    reach = (nu + 2.0 + math.log(1.0 / tol)) / x
-    if reach > _MAX_TERMS:
-        raise ConvergenceError(
-            f"mass sum needs about {reach:.3g} terms at m={m}, L={L}, over the budget "
-            f"of {_MAX_TERMS}; use the small-m expansion (mass_expansion)"
-        )
-    n_star = (nu + 2.0) / x
-    decay = -math.expm1(-x)  # far out the terms fall by e^{-x} a step
-    pieces, running, n, run = [], 0.0, 0, 0  # terms used, S, their count, the small ones ending them
-    # The terms are (m^2/2)^nu h0's at order -nu and beta = x/2: the h0
-    # predictor sizes the first block, so that it most often holds the stop.
-    block = min(int(_need(-nu, 0.5 * x, tol, 1.0, nu * math.log(0.5 * m * m))) + 3, _BLOCK)
-    while True:
-        if n >= _MAX_TERMS:
-            raise ConvergenceError(f"mass sum passed {_MAX_TERMS} terms at m={m}, L={L}")
-        ns = np.arange(n + 1, n + block + 1, dtype=float)
-        with np.errstate(all="ignore"):
-            terms = (m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)
-            sums = np.concatenate(([running], terms)).cumsum()[1:]  # S term by term, in order
-            small = (ns >= n_star) & (np.abs(terms) < tol * np.maximum(1.0, np.abs(sums)) * decay)
-        small = np.concatenate((np.ones(run, dtype=bool), small))
-        stops = np.flatnonzero(small[2:] & small[1:-1] & small[:-2])
-        used = int(stops[0]) + 3 - run if stops.size else block
-        # The terms are positive: S is non-finite from the first non-finite one on.
-        if not math.isfinite(sums[used - 1]):
-            bad = int(np.flatnonzero(~np.isfinite(sums))[0])
-            raise ConvergenceError(f"mass sum term {n + bad + 1} is non-finite at m={m}, L={L}, D={D}")
-        pieces.append(terms[:used])
-        n, running = n + used, float(sums[used - 1])
-        if stops.size:
-            break
-        run = 2 if small[-2:].all() else int(small[-1])
-        block = min(2 * block, _BLOCK)
-    err = 2.0 * abs(float(terms[used - 1])) * math.exp(-x) / decay
-    return EvalResult(math.fsum(np.concatenate(pieces).tolist()), err, n, "mass_sum")
+    params, tol = SeriesParams(1.0 - 0.5 * D, 0.5 * L * m), _check_tol(tol)
+    try:
+        return EvalResult(*_sum_h(params, tol, L / m), "mass_sum")
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"mass sum at m={m}, L={L}, D={D}: {exc}; small m: mass_expansion") from None
 
 
 def mass_expansion(m: float, L: float, D: int, order: float) -> Expansion:

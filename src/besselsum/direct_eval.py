@@ -10,7 +10,8 @@ Each family is one weighted-kernel sum  sum_j w_j E(x_j),  with
 E(x) = (x beta)^s K_s(2 x beta), over one stream of increasing distinct nodes
 x_j (B is the phase):
 
-* h(s, beta, B): x = m >= 1, w = cos(2 pi m B); h0(s, beta) = h(s, beta, 0)
+* h(s, beta, B): x = m >= 1, w = cos(2 pi m B); h0(s, beta) = h(s, beta, 0);
+  applications' mass sum at mass M: h0 at s = -nu, beta = ML/2, E = (x L/M)^s K_s(2 x beta)
 * g(d, s, beta) over the punctured Z^d lattice: x = sqrt(k), w = r_d(k) k^{-s},
   one element per nonempty shell |n|^2 = k
 * f(model, s, beta, B): x = alpha_n m over the eigenvalues alpha_n and m >= 1,
@@ -120,8 +121,8 @@ class EvalResult:
 def _check_tol(tol: Optional[float]) -> float:
     if tol is None:
         return DEFAULT_TOL
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not (0.0 < tol < 1.0):
+        raise DomainError(f"tol must lie in (0, 1), got {tol}")
     return tol
 
 
@@ -137,9 +138,9 @@ def _over_budget(terms: float, s: float, beta: float) -> ConvergenceError:
     )
 
 
-def _envelope(s: float, beta: float, x: np.ndarray) -> np.ndarray:
-    """The kernel E(x) = (x beta)^s K_s(2 x beta), elementwise."""
-    return (x * beta) ** s * sf.bessel_k_many(s, 2.0 * beta * x)
+def _envelope(s: float, beta: float, x: np.ndarray, base: Optional[float] = None) -> np.ndarray:
+    """The kernel E(x) = (x a)^s K_s(2 x beta), elementwise, power base a = base (beta if None)."""
+    return (x * (beta if base is None else base)) ** s * sf.bessel_k_many(s, 2.0 * beta * x)
 
 
 def _need(s: float, beta: float, tol: float, spacing: float, log_w: float = 0.0) -> float:
@@ -198,18 +199,18 @@ def _first(mask) -> int:
 
 
 def _log_h0_floor(s: float, beta: float) -> float:
-    """ln max(1, L), L a lower bound on the partial sums of h0(s, beta) near
-    its stop: E(1) >= Gamma(-s)/2 beta^{2s} e^{-2 beta} for s <= -1/2, as
+    """ln L unclamped (-inf if none is known), L a lower bound on the partial sums of
+    h0(s, beta) near its stop: E(1) >= Gamma(-s)/2 beta^{2s} e^{-2 beta} for s <= -1/2, as
     K_nu(z) >= 2^{nu-1} Gamma(nu) z^{-nu} e^{-z} (nu >= 1/2); for s > 0, as E
     falls from E(0) = Gamma(s)/2, int_0^inf E - E(0) = sqrt(pi) Gamma(s + 1/2)/(4 beta) - Gamma(s)/2."""
     if s <= -0.5:
-        return max(math.lgamma(-s) - math.log(2.0) + 2.0 * s * math.log(beta) - 2.0 * beta, 0.0)
+        return math.lgamma(-s) - math.log(2.0) + 2.0 * s * math.log(beta) - 2.0 * beta
     if s > 0.0:
         a = math.lgamma(s + 0.5) + 0.5 * math.log(math.pi) - math.log(4.0 * beta)
         b = math.lgamma(s) - math.log(2.0)
         if a > b:
-            return max(a + math.log1p(-math.exp(b - a)), 0.0)
-    return 0.0
+            return a + math.log1p(-math.exp(b - a))
+    return -math.inf
 
 
 def _first_block(s: float, beta: float, tol: float, x, geo, wmax, w=None):
@@ -301,24 +302,27 @@ def sum_h0(s: float, beta: float, tol: Optional[float] = None) -> EvalResult:
     return EvalResult(*_sum_h(SeriesParams(s=s, beta=beta), _check_tol(tol)), "direct_h0")
 
 
-def _sum_h(params: SeriesParams, tol: float):
-    """(value, tail bound, terms used) of h(s, beta, B)."""
+def _sum_h(params: SeriesParams, tol: float, base: Optional[float] = None):
+    """(value, tail bound, terms used) of h(s, beta, B) with power base a = base
+    or beta: kernel (m a)^s K_s(2 m beta), h's at weight (a/beta)^s, which the
+    power carries so that no term leaves double range for it alone."""
     s, beta, B = params.s, params.beta, params.B
     reach = _reach(s, beta, tol)
     if math.ceil(reach) + 3 > _MAX_TERMS:
         raise _over_budget(math.ceil(reach) + 3, s, beta)
     geo = -np.expm1(-2.0 * beta)  # the nodes are 1 apart, the first 1 past 0
+    log_w = 0.0 if base is None else s * math.log(base / beta)
 
     def source(start, size):
         m = np.arange(start + 1.0, start + size + 1.0)
-        kern = _envelope(s, beta, m)
+        kern = _envelope(s, beta, m, base)
         term = kern * np.cos((2.0 * math.pi * B) * m) if B != 0.0 else kern
         return m, geo, kern, 1.0, m, term
 
     # Only with B = 0 is every partial sum bounded below.
-    log_floor = _log_h0_floor(s, beta) if B == 0.0 else 0.0
+    log_floor = max(log_w + _log_h0_floor(s, beta), 0.0) if B == 0.0 else 0.0
     with np.errstate(all="ignore"):
-        return _sweep(s, beta, tol, source, _need(s, beta, tol, 1.0, -log_floor) + 3.0)
+        return _sweep(s, beta, tol, source, _need(s, beta, tol, 1.0, log_w - log_floor) + 3.0)
 
 
 def sum_g(d: int, s: float, beta: float, tol: Optional[float] = None) -> EvalResult:

@@ -10,6 +10,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -21,7 +22,7 @@ from besselsum import specfun as sf
 from besselsum.errors import ConfigError, ConvergenceError, DomainError, PoleError
 from besselsum.manifolds import CircleModel, TableModel, circle_model, torus_model
 
-from util import poisson_check
+from util import mass_sum_mp, poisson_check
 
 CIRCLE = circle_model()
 
@@ -412,17 +413,33 @@ class TestMassSeries:
     @pytest.mark.parametrize("D", [2, 3, 4, 5])
     @pytest.mark.parametrize("beta", [0.2, 0.8])
     def test_identity_with_h0(self, D, beta):
+        # mass_sum runs on h0's stream, so each side of the identity is held
+        # to the 30-digit sum rather than to the other.
         L = 1.0
         m = 2.0 * beta / L
+        want = mass_sum_mp(m, L, D)
         got = ap.mass_sum(m, L, D, tol=1e-14).value
         h0 = de.sum_h0(1.0 - D / 2.0, beta, tol=1e-14).value
-        want = (2.0 / L ** 2) ** (D / 2.0 - 1.0) * beta ** (D - 2) * h0
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        h0 *= (2.0 / L ** 2) ** (D / 2.0 - 1.0) * beta ** (D - 2)
+        assert abs(got - want) < 1e-12 * want
+        assert abs(h0 - want) < 1e-12 * want
 
     def test_identity_other_length(self):
+        # The two calls share a stream but not a power base (L/m against beta).
         got = ap.mass_sum(2.0 * 0.4 / 2.5, 2.5, 4, tol=1e-14).value
-        want = (2.0 / 2.5 ** 2) * 0.4 ** 2 * de.sum_h0(-1.0, 0.4, tol=1e-14).value
-        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        h0 = (2.0 / 2.5 ** 2) * 0.4 ** 2 * de.sum_h0(-1.0, 0.4, tol=1e-14).value
+        want = mass_sum_mp(2.0 * 0.4 / 2.5, 2.5, 4)
+        assert abs(got - want) < 1e-12 * want
+        assert abs(got - h0) < 1e-12 * want
+
+    def test_reference_matches_the_term_sum(self):
+        # The quadrature reference against the series summed term by term in
+        # mpmath, at orders 0, 1/2 and 3/2.
+        for m, L, D in ((2.0, 1.0, 2), (0.8, 1.0, 3), (1.6, 1.0, 5)):
+            with mp.workdps(30):
+                nu, r, x = mp.mpf(D) / 2 - 1, mp.mpf(m) / L, mp.mpf(m) * L
+                want = mp.fsum((r / n) ** nu * mp.besselk(nu, n * x) for n in range(1, math.ceil(100 / x)))
+            assert abs(mass_sum_mp(m, L, D) - want) < 1e-15 * want
 
     def test_small_mass_within_tolerance(self):
         # the terms fall like 1/n^2 until n ~ 1/(mL): stopping at the first
@@ -435,11 +452,11 @@ class TestMassSeries:
     @pytest.mark.parametrize("block", [None, 4])
     @pytest.mark.parametrize("m, L, D", [(0.7, 1.0, 4), (1.3, 0.5, 2), (0.05, 2.0, 3), (2e-3, 1.0, 6)])
     def test_block_step_matches_the_term_loop(self, monkeypatch, m, L, D, block):
-        # The rule applied term by term to the same terms gives the same sum,
-        # stop and estimate; blocks of 4 carry runs of small terms across
-        # block starts.
+        # The rule applied term by term to S's own terms stops at the same
+        # term, summed blockwise or from a first block of 4, which carries runs
+        # of small terms across block starts; the tail bound covers the error.
         if block:
-            monkeypatch.setattr(ap, "_BLOCK", block)
+            monkeypatch.setattr(de, "_need", lambda *args: block - 3.0)
         got = ap.mass_sum(m, L, D)
         nu, x, tol = 0.5 * D - 1.0, L * m, de.DEFAULT_TOL
         ns = np.arange(1.0, got.terms_used + 11.0)
@@ -447,11 +464,12 @@ class TestMassSeries:
         for n, term in enumerate(((m / (ns * L)) ** nu * sf.bessel_k_many(nu, ns * x)).tolist(), 1):
             used.append(term)
             running += term
-            small = small + 1 if n >= (nu + 2.0) / x and term < tol * max(1.0, running) * decay else 0
-            if small == 3:
+            small = small + 1 if term < tol * max(1.0, running) * decay else 0
+            if small >= 3 and n >= (nu + 2.0) / x:
                 break
-        assert (got.value, got.terms_used) == (math.fsum(used), len(used))
-        assert got.error_estimate == 2.0 * used[-1] * math.exp(-x) / decay
+        assert got.terms_used == len(used)
+        assert abs(got.value - math.fsum(used)) <= 1e-14 * math.fsum(used)
+        assert got.error_estimate >= abs(got.value - mass_sum_mp(m, L, D))
 
     @pytest.mark.parametrize("m", [1e-6, 1e-9])
     def test_mass_past_the_term_budget_refused_at_once(self, m):
@@ -459,6 +477,20 @@ class TestMassSeries:
         with pytest.raises(ConvergenceError, match="mass_expansion"):
             ap.mass_sum(m, 1.0, 4)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("m, L, D, want", [(1e-3, 0.5, 120, 2.2513904717756825e131),
+                                               (50.0, 1.0, 300, 1.4171667354472772e301)])
+    def test_terms_in_range_where_h0s_overflow(self, m, L, D, want):
+        # S's terms stay in double range where h0's kernel (n beta)^-nu
+        # K_nu(2 n beta), or its product with (m^2/2)^nu, leaves it: the sum
+        # runs with power base L/m, not as a rescaled h0.
+        assert abs(ap.mass_sum(m, L, D).value - want) <= 1e-12 * want
+
+    def test_far_orders_refused_or_zero_without_overflow(self):
+        # The first term's power 100^169 overflows: refused; K_99(1000 n) underflows: S = 0.
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            ap.mass_sum(100.0, 1.0, 340)
+        assert ap.mass_sum(1e3, 1.0, 200).value == 0.0
 
     @pytest.mark.parametrize("m", [1.0, 0.1])
     def test_non_finite_term_refused(self, m):

@@ -16,6 +16,9 @@ import pytest
 
 from besselsum import applications as ap
 from besselsum import cli
+from besselsum import direct_eval as de
+from besselsum.errors import DomainError
+from besselsum.manifolds import circle_model
 
 MODEL_FILE = """\
 # comment line
@@ -550,8 +553,29 @@ class TestOutputContract:
 
 
 # ---------------------------------------------------------------------------
-# Environment tolerance override
+# Tolerance: one check for every direct sum, and the environment override
 # ---------------------------------------------------------------------------
+
+_TOL_CALLS = {
+    "sum_h0": lambda tol: de.sum_h0(0.5, 1.0, tol),
+    "sum_f": lambda tol: de.sum_f(circle_model(), 0.5, 1.0, 0.0, tol),
+    "mass_sum": lambda tol: ap.mass_sum(0.5, 1.0, 4, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [1.0, 5.0, 0.0, -1e-9, math.nan])
+@pytest.mark.parametrize("target", ["sum_h0", "sum_f", "mass_sum", "eval"])
+def test_tol_outside_the_unit_interval_refused(capsys, target, tol):
+    # tol >= 1 would stop a sum after three terms whatever their size.
+    if target == "eval":
+        code, out, err = run_cli(capsys, ["eval", "--series", "h0", "--s", "0.5", "--beta", "1",
+                                          f"--tol={tol}"])
+        assert (code, out) == (2, "")
+        assert "tol must lie in (0, 1)" in err
+    else:
+        with pytest.raises(DomainError, match=r"tol must lie in \(0, 1\)"):
+            _TOL_CALLS[target](tol)
+
 
 
 class TestEnvTol:

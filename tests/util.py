@@ -3,6 +3,7 @@
 import functools
 import math
 
+import mpmath as mp
 import numpy as np
 
 from besselsum import asymptotics as asym
@@ -245,3 +246,28 @@ def poisson_check(t: float, beta: float, B: float = 0.0):
         )
     )
     return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# Compactified mass series, independent of the direct sums
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def mass_sum_mp(m: float, L: float, D: int) -> float:
+    """S(m) = sum_n (m/(nL))^nu K_nu(nLm), nu = D/2 - 1, in 30-digit mpmath.
+
+    The sum is taken under the integral K_nu(z) = sqrt(pi) (z/2)^nu /
+    Gamma(nu + 1/2) int_1^inf e^{-zt} (t^2 - 1)^{nu - 1/2} dt (DLMF 10.32.8),
+    where sum_n e^{-nLmt} = 1/(e^{Lmt} - 1); with t = cosh u,
+    S = (m^2/2)^nu sqrt(pi)/Gamma(nu + 1/2) int_0^inf sinh(u)^{2 nu}/(e^{Lm cosh u} - 1) du.
+    One quadrature, no K_nu and no term of the series; it ends at
+    Lm (t - 1) = 150 + 4 nu, where the integrand has fallen past every digit.
+    """
+    with mp.workdps(30):
+        m, L = mp.mpf(m), mp.mpf(L)
+        nu = mp.mpf(D) / 2 - 1
+        x = L * m
+        ends = [mp.acosh(1 + c / x) for c in (0, 1, 10, 100, 150 + 4 * nu)]
+        integral = mp.quad(lambda u: mp.sinh(u) ** (2 * nu) / mp.expm1(x * mp.cosh(u)), ends)
+        return float((m * m / 2) ** nu * mp.sqrt(mp.pi) / mp.gamma(nu + mp.mpf(1) / 2) * integral)
